@@ -36,6 +36,7 @@ fuzz-smoke:
 	$(GO) test ./internal/checkpoint -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/study/spec -fuzz FuzzParseSpec -fuzztime 10s
 	$(GO) test ./internal/loadgen -fuzz FuzzParseScenario -fuzztime 10s
+	$(GO) test ./internal/client -fuzz FuzzFollow -fuzztime 10s
 
 # One end-to-end regeneration of every figure/table, plus the runner's
 # synthetic speedup benchmark (CI uploads the combined log as the

@@ -33,8 +33,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -46,11 +44,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"smtexplore/internal/client"
 	"smtexplore/internal/cluster"
 	"smtexplore/internal/service"
 )
@@ -120,7 +118,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if addrs == "" {
 		addrs = *addr
 	}
-	c := client{ctx: ctx, eps: newEndpoints(addrs), out: out, retry: newRetrier(*maxRetries), timeout: *timeout, tenant: *tenantName}
+	c := cli{ctx: ctx, api: newClient(addrs, *maxRetries, *timeout).As(*tenantName), out: out}
 	switch rest[0] {
 	case "submit":
 		return c.submit(rest[1:])
@@ -140,77 +138,31 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return usage(fs, "unknown command %q", rest[0])
 }
 
-type client struct {
-	ctx     context.Context
-	eps     *endpoints
-	out     io.Writer
-	retry   retrier
-	timeout time.Duration
-	// tenant, when non-empty, rides every submission as X-Tenant.
-	tenant string
+// cli carries the global flags into the subcommands.
+type cli struct {
+	ctx context.Context
+	api *client.Client
+	out io.Writer
 }
 
-// base is the URL prefix for the next request — the current pick among
-// the -server endpoints (a single -addr degenerates to one entry).
-func (c client) base() string { return c.eps.base() }
-
-// do sends the request and lets the endpoint picker see the outcome,
-// so transport errors rotate to the next server and standby 503s jump
-// to the advertised leader before the retrier's next attempt.
-func (c client) do(hreq *http.Request) (*http.Response, error) {
-	resp, err := http.DefaultClient.Do(hreq)
-	c.eps.observe(resp, err)
-	return resp, err
+// newClient builds smtctl's job-API client: retries up to maxRetries
+// (429 backpressure included, logged to stderr), each attempt bounded
+// by timeout (0: none).
+func newClient(addrs string, maxRetries int, timeout time.Duration) *client.Client {
+	c := client.New(addrs, client.Policy{Retries: maxRetries, Retry429: true, Timeout: timeout})
+	c.Logf = log.Printf
+	return c
 }
 
-// get issues a ctx-bound GET so a signal cancels in-flight requests,
-// not just backoff waits; -timeout additionally deadlines the attempt
-// (headers and body both — the budget stays armed until Close).
-func (c client) get(path string) (*http.Response, error) {
-	rctx, cancel := c.reqCtx()
-	hreq, err := http.NewRequestWithContext(rctx, http.MethodGet, c.base()+path, nil)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	resp, err := c.do(hreq)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-	return resp, nil
-}
-
-// apiError extracts the service's {"error": ...} body.
-func apiError(resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		return fmt.Errorf("%s: %s", resp.Status, e.Error)
-	}
-	return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-}
-
-func (c client) getJSON(path string, v any) error {
-	resp, err := c.retry.do(c.ctx, "get "+path, func() (*http.Response, error) {
-		return c.get(path)
-	})
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
+func (c cli) printJSON(v any) error {
+	enc := json.NewEncoder(c.out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // submit builds a one-cell batch from flags (or reads a raw batch from
 // -f) and prints the assigned job ID.
-func (c client) submit(args []string) error {
+func (c cli) submit(args []string) error {
 	fs := flag.NewFlagSet("smtctl submit", flag.ContinueOnError)
 	fig := fs.String("fig", "", "harness cell: a named figure/table/study (fig1, fig2a, fig3, table1, sync, ...)")
 	stream := fs.String("stream", "", "stream cell: comma-separated stream kinds to co-run (e.g. fadd,iload)")
@@ -285,46 +237,8 @@ func (c client) submit(args []string) error {
 	// The idempotency key is the content hash of the batch: if a retried
 	// submit reaches a daemon that already accepted the first attempt,
 	// the daemon hands back the live job instead of running it twice.
-	idemKey := fmt.Sprintf("%x", sha256.Sum256(body))
-	resp, err := c.retry.do(c.ctx, "submit", func() (*http.Response, error) {
-		rctx, cancel := c.reqCtx()
-		hreq, err := http.NewRequestWithContext(rctx, http.MethodPost, c.base()+"/v1/jobs", bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set("Idempotency-Key", idemKey)
-		if c.tenant != "" {
-			hreq.Header.Set("X-Tenant", c.tenant)
-		}
-		resp, err := c.do(hreq)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-		return resp, nil
-	})
+	st, err := c.api.Submit(c.ctx, req, fmt.Sprintf("%x", sha256.Sum256(body)))
 	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		if resp.StatusCode == http.StatusTooManyRequests {
-			err := apiError(resp)
-			if cause := resp.Header.Get("X-Quota-Cause"); cause != "" {
-				err = fmt.Errorf("%w (tenant quota: %s)", err, cause)
-			}
-			if ra := resp.Header.Get("Retry-After"); ra != "" {
-				err = fmt.Errorf("%w (retry after %ss)", err, ra)
-			}
-			return err
-		}
-		return apiError(resp)
-	}
-	var st service.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}
 	fmt.Fprintln(c.out, st.ID)
@@ -338,7 +252,7 @@ func jobArg(fs *flag.FlagSet, what string) (string, error) {
 	return fs.Arg(0), nil
 }
 
-func (c client) status(args []string) error {
+func (c cli) status(args []string) error {
 	fs := flag.NewFlagSet("smtctl status", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -347,25 +261,20 @@ func (c client) status(args []string) error {
 	if err != nil {
 		return err
 	}
-	var st service.JobStatus
-	if err := c.getJSON("/v1/jobs/"+id, &st); err != nil {
+	st, err := c.api.Status(c.ctx, id)
+	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(c.out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(st)
+	return c.printJSON(st)
 }
 
 // wait follows the job's SSE stream until the terminal event, printing
 // per-cell progress, and maps the outcome onto the exit status: done →
 // 0, failed → 1 (with the failing cell's error), cancelled → 3. A cell
-// error is surfaced the moment its event arrives, not at the end.
-//
-// A dropped stream is not an error: wait tracks the id of the last
-// event it saw and reconnects with Last-Event-ID, so the daemon replays
-// exactly the missed events and the outcome mapping is unaffected (up
-// to -max-retries reconnects).
-func (c client) wait(args []string) error {
+// error is surfaced the moment its event arrives, not at the end. A
+// dropped or silent stream is resumed where it left off (up to
+// -max-retries re-dials), so the outcome mapping is unaffected.
+func (c cli) wait(args []string) error {
 	fs := flag.NewFlagSet("smtctl wait", flag.ContinueOnError)
 	quiet := fs.Bool("q", false, "suppress per-cell progress lines")
 	if err := fs.Parse(args); err != nil {
@@ -375,122 +284,37 @@ func (c client) wait(args []string) error {
 	if err != nil {
 		return err
 	}
-	lastID := -1
-	for try := 0; ; try++ {
-		// The stream itself may legitimately outlive -timeout, so the
-		// connection context has no deadline; instead an idle watchdog
-		// cancels it when the stream goes silent for -timeout, and the
-		// Last-Event-ID reconnect replays whatever was missed.
-		wctx, wcancel := context.WithCancel(c.ctx)
-		resp, err := c.retry.do(c.ctx, "wait "+id, func() (*http.Response, error) {
-			hreq, err := http.NewRequestWithContext(wctx, http.MethodGet, c.base()+"/v1/jobs/"+id+"/events", nil)
-			if err != nil {
-				return nil, err
-			}
-			if lastID >= 0 {
-				hreq.Header.Set("Last-Event-ID", strconv.Itoa(lastID))
-			}
-			return c.do(hreq)
-		})
-		if err != nil {
-			wcancel()
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			defer wcancel()
-			defer resp.Body.Close()
-			return apiError(resp)
-		}
-		var body io.Reader = resp.Body
-		var idle *time.Timer
-		if c.timeout > 0 {
-			idle = time.AfterFunc(c.timeout, wcancel)
-			body = idleReset{r: resp.Body, timer: idle, d: c.timeout}
-		}
-		done, outcome, cause := c.followEvents(body, id, *quiet, &lastID)
-		if idle != nil {
-			idle.Stop()
-		}
-		if wctx.Err() != nil && c.ctx.Err() == nil {
-			cause = fmt.Errorf("no events for %v (idle watchdog)", c.timeout)
-		}
-		resp.Body.Close()
-		wcancel()
-		if done {
-			return outcome
-		}
-		if try >= c.retry.max {
-			return fmt.Errorf("event stream interrupted: %v", cause)
-		}
-		log.Printf("wait %s: %v; retrying from event %d (%d/%d)", id, cause, lastID, try+1, c.retry.max)
-	}
-}
-
-// followEvents consumes one SSE connection. done reports that a
-// terminal end event arrived, with the mapped outcome; otherwise cause
-// says why the stream stopped early. lastID advances past every event
-// seen, so the caller can resume without duplicates.
-func (c client) followEvents(body io.Reader, id string, quiet bool, lastID *int) (done bool, outcome, cause error) {
-	var event string
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
+	end, err := c.api.Follow(c.ctx, id, func(ev service.Event) error {
 		switch {
-		case strings.HasPrefix(line, "id: "):
-			if n, err := strconv.Atoi(strings.TrimPrefix(line, "id: ")); err == nil {
-				*lastID = n
-			}
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "cell":
-				var ev service.Event
-				if err := json.Unmarshal([]byte(data), &ev); err != nil {
-					return true, fmt.Errorf("bad event payload: %w", err), nil
-				}
-				switch {
-				case ev.State == service.CellFailed:
-					fmt.Fprintf(os.Stderr, "smtctl: cell %d (%s) failed: %s\n", ev.Cell, ev.Label, ev.Error)
-				case quiet:
-				case (ev.State == service.CellPreempted || ev.State == service.CellResumed) && ev.Error != "":
-					// Preemption/resume events carry a detail message (why the
-					// cell yielded, how many cycles the checkpoint saved).
-					fmt.Fprintf(c.out, "cell %d (%s): %s: %s\n", ev.Cell, ev.Label, ev.State, ev.Error)
-				default:
-					fmt.Fprintf(c.out, "cell %d (%s): %s\n", ev.Cell, ev.Label, ev.State)
-				}
-			case "end":
-				var end struct {
-					State string `json:"state"`
-					Error string `json:"error"`
-				}
-				if err := json.Unmarshal([]byte(data), &end); err != nil {
-					return true, fmt.Errorf("bad end payload: %w", err), nil
-				}
-				switch end.State {
-				case service.JobDone:
-					if !quiet {
-						fmt.Fprintf(c.out, "%s done\n", id)
-					}
-					return true, nil, nil
-				case service.JobCancelled:
-					return true, fmt.Errorf("%w: %s: %s", errJobCancelled, id, end.Error), nil
-				default:
-					return true, fmt.Errorf("%w: %s: %s", errJobFailed, id, end.Error), nil
-				}
-			}
+		case ev.Type != "cell":
+		case ev.State == service.CellFailed:
+			fmt.Fprintf(os.Stderr, "smtctl: cell %d (%s) failed: %s\n", ev.Cell, ev.Label, ev.Error)
+		case *quiet:
+		case (ev.State == service.CellPreempted || ev.State == service.CellResumed) && ev.Error != "":
+			// Preemption/resume events carry a detail message (why the
+			// cell yielded, how many cycles the checkpoint saved).
+			fmt.Fprintf(c.out, "cell %d (%s): %s: %s\n", ev.Cell, ev.Label, ev.State, ev.Error)
+		default:
+			fmt.Fprintf(c.out, "cell %d (%s): %s\n", ev.Cell, ev.Label, ev.State)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if err := sc.Err(); err != nil {
-		return false, nil, err
+	switch end.State {
+	case service.JobDone:
+		if !*quiet {
+			fmt.Fprintf(c.out, "%s done\n", id)
+		}
+		return nil
+	case service.JobCancelled:
+		return fmt.Errorf("%w: %s: %s", errJobCancelled, id, end.Error)
 	}
-	return false, nil, errors.New("stream ended before the job finished")
+	return fmt.Errorf("%w: %s: %s", errJobFailed, id, end.Error)
 }
 
-func (c client) result(args []string) error {
+func (c cli) result(args []string) error {
 	fs := flag.NewFlagSet("smtctl result", flag.ContinueOnError)
 	cell := fs.Int("cell", -1, "fetch one cell's result instead of the whole job")
 	text := fs.Bool("text", false, "print a harness cell's formatted text verbatim (requires -cell)")
@@ -504,40 +328,34 @@ func (c client) result(args []string) error {
 	if *text && *cell < 0 {
 		return usage(fs, "-text requires -cell")
 	}
-	if *cell >= 0 {
-		path := fmt.Sprintf("/v1/jobs/%s/cells/%d/result", id, *cell)
-		if *text {
-			resp, err := c.retry.do(c.ctx, "result "+id, func() (*http.Response, error) {
-				return c.get(path + "?format=text")
-			})
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return apiError(resp)
-			}
-			_, err = io.Copy(c.out, resp.Body)
+	if *cell < 0 {
+		res, err := c.api.Result(c.ctx, id)
+		if err != nil {
 			return err
 		}
-		var res service.CellResult
-		if err := c.getJSON(path, &res); err != nil {
-			return err
-		}
-		enc := json.NewEncoder(c.out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
+		return c.printJSON(res)
 	}
-	var res service.JobResult
-	if err := c.getJSON("/v1/jobs/"+id+"/result", &res); err != nil {
+	path := fmt.Sprintf("/v1/jobs/%s/cells/%d/result", id, *cell)
+	if !*text {
+		var res service.CellResult
+		if err := c.api.GetJSON(c.ctx, path, &res); err != nil {
+			return err
+		}
+		return c.printJSON(res)
+	}
+	resp, err := c.api.Do(c.ctx, "result "+id, http.MethodGet, path+"?format=text", nil, nil)
+	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(c.out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return client.ResponseError(resp)
+	}
+	_, err = io.Copy(c.out, resp.Body)
+	return err
 }
 
-func (c client) cancel(args []string) error {
+func (c cli) cancel(args []string) error {
 	fs := flag.NewFlagSet("smtctl cancel", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -546,32 +364,8 @@ func (c client) cancel(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Cancelling an already-cancelled job is a no-op server-side, so the
-	// DELETE is safe to retry.
-	resp, err := c.retry.do(c.ctx, "cancel "+id, func() (*http.Response, error) {
-		rctx, cancel := c.reqCtx()
-		hreq, err := http.NewRequestWithContext(rctx, http.MethodDelete, c.base()+"/v1/jobs/"+id, nil)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		resp, err := c.do(hreq)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-		return resp, nil
-	})
+	st, err := c.api.Cancel(c.ctx, id)
 	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	var st service.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}
 	fmt.Fprintf(c.out, "%s %s\n", st.ID, st.State)
@@ -581,7 +375,7 @@ func (c client) cancel(args []string) error {
 // cluster prints a coordinator's fleet topology: one line per worker
 // plus the routing counters. A plain smtd answers 404 here — the one
 // place the coordinator and daemon APIs differ.
-func (c client) cluster(args []string) error {
+func (c cli) cluster(args []string) error {
 	fs := flag.NewFlagSet("smtctl cluster", flag.ContinueOnError)
 	asJSON := fs.Bool("json", false, "print the raw topology JSON")
 	if err := fs.Parse(args); err != nil {
@@ -594,13 +388,11 @@ func (c client) cluster(args []string) error {
 		return usage(fs, "cluster takes no arguments")
 	}
 	var top cluster.Topology
-	if err := c.getJSON("/v1/cluster", &top); err != nil {
+	if err := c.api.GetJSON(c.ctx, "/v1/cluster", &top); err != nil {
 		return err
 	}
 	if *asJSON {
-		enc := json.NewEncoder(c.out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(top)
+		return c.printJSON(top)
 	}
 	fmt.Fprintf(c.out, "%-12s %-21s %-6s %11s %12s %8s\n", "worker", "addr", "alive", "outstanding", "qwait-ewma", "hb-age")
 	for _, w := range top.Workers {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"smtexplore/internal/client"
 	"smtexplore/internal/service"
 )
 
@@ -40,12 +41,12 @@ func fakeAttempt(t *testing.T, codes []int, calls *int) func() (*http.Response, 
 func TestRetrierBackoffAndOutcomes(t *testing.T) {
 	ctx := context.Background()
 	var slept []time.Duration
-	r := newRetrier(3)
-	r.sleep = func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil }
+	r := newClient("", 3, 0)
+	r.Sleep = func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil }
 
 	// Transport error, then 503, then success: two retries, then done.
 	calls := 0
-	resp, err := r.do(ctx, "x", fakeAttempt(t, []int{0, http.StatusServiceUnavailable, http.StatusOK}, &calls))
+	resp, err := r.Retry(ctx, "x", fakeAttempt(t, []int{0, http.StatusServiceUnavailable, http.StatusOK}, &calls))
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("do = (%v, %v), want 200", resp, err)
 	}
@@ -53,8 +54,8 @@ func TestRetrierBackoffAndOutcomes(t *testing.T) {
 		t.Fatalf("calls=%d slept=%d, want 3 attempts with 2 sleeps", calls, len(slept))
 	}
 	for i, d := range slept {
-		if d <= 0 || d > r.cap {
-			t.Errorf("sleep %d = %v, want within (0, %v]", i, d, r.cap)
+		if d <= 0 || d > client.BackoffCap {
+			t.Errorf("sleep %d = %v, want within (0, %v]", i, d, client.BackoffCap)
 		}
 	}
 
@@ -62,7 +63,7 @@ func TestRetrierBackoffAndOutcomes(t *testing.T) {
 	// server's mandate as its ceiling.
 	slept = nil
 	calls = 0
-	resp, err = r.do(ctx, "x", fakeAttempt(t, []int{http.StatusTooManyRequests, http.StatusOK}, &calls))
+	resp, err = r.Retry(ctx, "x", fakeAttempt(t, []int{http.StatusTooManyRequests, http.StatusOK}, &calls))
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("429 do = (%v, %v)", resp, err)
 	}
@@ -72,24 +73,24 @@ func TestRetrierBackoffAndOutcomes(t *testing.T) {
 
 	// Non-retryable statuses return on the first attempt.
 	calls = 0
-	resp, _ = r.do(ctx, "x", fakeAttempt(t, []int{http.StatusBadRequest}, &calls))
+	resp, _ = r.Retry(ctx, "x", fakeAttempt(t, []int{http.StatusBadRequest}, &calls))
 	if calls != 1 || resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("400: %d calls, status %d; want 1 call passing it through", calls, resp.StatusCode)
 	}
 
 	// An exhausted budget hands back the last failing response.
-	r2 := newRetrier(1)
-	r2.sleep = func(context.Context, time.Duration) error { return nil }
+	r2 := newClient("", 1, 0)
+	r2.Sleep = func(context.Context, time.Duration) error { return nil }
 	calls = 0
-	resp, _ = r2.do(ctx, "x", fakeAttempt(t, []int{http.StatusServiceUnavailable, http.StatusServiceUnavailable}, &calls))
+	resp, _ = r2.Retry(ctx, "x", fakeAttempt(t, []int{http.StatusServiceUnavailable, http.StatusServiceUnavailable}, &calls))
 	if calls != 2 || resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("exhausted: %d calls, status %d; want 2 calls and the 503", calls, resp.StatusCode)
 	}
 
 	// max 0 disables retrying entirely.
-	r3 := newRetrier(0)
+	r3 := newClient("", 0, 0)
 	calls = 0
-	if _, err := r3.do(ctx, "x", fakeAttempt(t, []int{0}, &calls)); err == nil || calls != 1 {
+	if _, err := r3.Retry(ctx, "x", fakeAttempt(t, []int{0}, &calls)); err == nil || calls != 1 {
 		t.Errorf("max-retries 0: err=%v calls=%d, want the transport error after 1 call", err, calls)
 	}
 }
@@ -100,7 +101,7 @@ func TestRetrierBackoffAndOutcomes(t *testing.T) {
 // fix, the jittered wait used time.Sleep and a 1-hour Retry-After held
 // the process hostage.
 func TestRetrierCancelledMidBackoffReturnsPromptly(t *testing.T) {
-	r := newRetrier(3) // real sleepCtx, no stub: the select is under test
+	r := newClient("", 3, 0) // real Sleep, no stub: the select is under test
 	ctx, cancel := context.WithCancel(context.Background())
 	attempt := func() (*http.Response, error) {
 		rec := httptest.NewRecorder()
@@ -113,7 +114,7 @@ func TestRetrierCancelledMidBackoffReturnsPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	resp, err := r.do(ctx, "x", attempt)
+	resp, err := r.Retry(ctx, "x", attempt)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("do under cancellation = (%v, %v), want context.Canceled", resp, err)
@@ -264,20 +265,20 @@ func TestWaitReconnectsDroppedStream(t *testing.T) {
 	}
 }
 
-// The backoff jitter must come from the retrier's own seeded source,
+// The backoff jitter must come from the client's own seeded source,
 // not the process-global one: identical seeds draw identical jitter,
 // and draws elsewhere in the process cannot perturb the sequence.
 func TestRetryJitterIsOwnSeededSource(t *testing.T) {
 	draws := func(seed uint64) []time.Duration {
-		r := newRetrier(3)
-		r.rng = rand.New(rand.NewPCG(seed, seed))
+		r := newClient("", 3, 0)
+		r.Rand = rand.New(rand.NewPCG(seed, seed))
 		var waits []time.Duration
-		r.sleep = func(_ context.Context, d time.Duration) error {
+		r.Sleep = func(_ context.Context, d time.Duration) error {
 			waits = append(waits, d)
 			return nil
 		}
 		calls := 0
-		r.do(context.Background(), "test", func() (*http.Response, error) {
+		r.Retry(context.Background(), "test", func() (*http.Response, error) {
 			calls++
 			return nil, fmt.Errorf("transient %d", calls)
 		})

@@ -8,9 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
-	"smtexplore/internal/cluster"
 	"smtexplore/internal/store"
 	"smtexplore/internal/study"
 	"smtexplore/internal/study/execute"
@@ -20,7 +18,7 @@ import (
 // study dispatches the study subcommands. run compiles a declarative
 // spec into a deduped cell DAG and executes it; status and report read
 // back the state a run persisted, so neither needs a live daemon.
-func (c client) study(args []string) error {
+func (c cli) study(args []string) error {
 	if len(args) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: smtctl study run|status|report [args]")
 		return errUsage
@@ -40,14 +38,15 @@ func (c client) study(args []string) error {
 // studyRun parses the spec, picks a backend and runs the engine. The
 // local backend simulates in-process against an on-disk store (so a
 // re-run over the same store is warm); the daemon backend submits one
-// job to the -addr smtd or coordinator and inherits its cluster-wide
-// cache. Failed cells exit 1 — a partial study is visible in CI, not
-// just in the report appendix.
-func (c client) studyRun(args []string) error {
+// job through smtctl's own client — the -addr or -server endpoints,
+// -tenant, retries and failover — and inherits the daemon's cache.
+// Failed cells exit 1 — a partial study is visible in CI, not just in
+// the report appendix.
+func (c cli) studyRun(args []string) error {
 	fs := flag.NewFlagSet("smtctl study run", flag.ContinueOnError)
 	file := fs.String("f", "", "study spec file, JSON or Markdown (\"-\": stdin)")
 	dir := fs.String("dir", "study-out", "state root; the run persists under <dir>/<name>/")
-	via := fs.String("via", "local", "backend: local (in-process) or daemon (the -addr smtd/coordinator)")
+	via := fs.String("via", "local", "backend: local (in-process) or daemon (the -addr or -server smtd, coordinator or HA pair)")
 	storeDir := fs.String("store", "", "local backend result store (default <dir>/<name>/store)")
 	workers := fs.Int("workers", 0, "local backend simulation workers (0: one per CPU)")
 	printReport := fs.Bool("report", false, "print the full Markdown report instead of the summary")
@@ -88,7 +87,7 @@ func (c client) studyRun(args []string) error {
 		}
 		backend = execute.NewLocal(st)
 	case "daemon":
-		backend = &execute.Remote{Worker: cluster.NewRemote("daemon", strings.TrimPrefix(c.base(), "http://"))}
+		backend = &execute.Remote{Client: c.api}
 	default:
 		return usage(fs, "unknown backend %q (want local or daemon)", *via)
 	}
@@ -130,7 +129,7 @@ func studyNameArg(fs *flag.FlagSet, what string) (string, error) {
 	return fs.Arg(0), nil
 }
 
-func (c client) studyStatus(args []string) error {
+func (c cli) studyStatus(args []string) error {
 	fs := flag.NewFlagSet("smtctl study status", flag.ContinueOnError)
 	dir := fs.String("dir", "study-out", "state root the study ran with")
 	if err := fs.Parse(args); err != nil {
@@ -149,7 +148,7 @@ func (c client) studyStatus(args []string) error {
 	return enc.Encode(sum)
 }
 
-func (c client) studyReport(args []string) error {
+func (c cli) studyReport(args []string) error {
 	fs := flag.NewFlagSet("smtctl study report", flag.ContinueOnError)
 	dir := fs.String("dir", "study-out", "state root the study ran with")
 	if err := fs.Parse(args); err != nil {

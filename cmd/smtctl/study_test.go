@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,5 +100,22 @@ func TestStudyUsageErrors(t *testing.T) {
 		if _, err := ctl(t, "unused:0", args...); err == nil {
 			t.Errorf("%v: expected an error", args)
 		}
+	}
+}
+
+// A daemon-backed study runs through smtctl's own client: -tenant
+// reaches the daemon, so the study's job and cells are accounted to
+// that tenant rather than the default one.
+func TestStudyRunDaemonCarriesTenant(t *testing.T) {
+	addr, svc := flakyDaemon(t, service.Config{Workers: 2}, func(h http.Handler) http.Handler { return h })
+	dir := t.TempDir()
+	spec := writeSpec(t, dir)
+
+	if _, err := ctl(t, addr, "-tenant", "lab", "study", "run", "-f", spec, "-dir", filepath.Join(dir, "out"), "-via", "daemon"); err != nil {
+		t.Fatalf("study run -via daemon -tenant lab: %v", err)
+	}
+	row, ok := svc.Snapshot().Tenants["lab"]
+	if !ok || row.JobsAdmitted != 1 || row.CellsDone != 4 {
+		t.Fatalf("tenant lab accounting = %+v (present %v), want 1 job and 4 cells", row, ok)
 	}
 }

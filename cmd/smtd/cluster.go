@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"smtexplore/internal/client"
 	"smtexplore/internal/cluster"
 )
 
@@ -143,39 +143,30 @@ func runHACoordinator(ctx context.Context, out io.Writer, o coordOpts, cfg clust
 // heartbeat re-registers this worker with the coordinator until ctx is
 // cancelled. Registration is idempotent on the coordinator side, so a
 // steady beat doubles as liveness advertising and as automatic re-join
-// after a coordinator restart (whose fresh ring starts empty).
+// after a coordinator restart (whose fresh ring starts empty). Each
+// beat is one attempt bounded at 2s; the next tick is the retry.
 func heartbeat(ctx context.Context, coordinator, name, addr string) {
 	body, err := json.Marshal(map[string]string{"name": name, "addr": addr})
 	if err != nil {
 		panic(err) // a map[string]string always marshals
 	}
-	client := &http.Client{Timeout: 2 * time.Second}
+	api := client.New(coordinator, client.Policy{Timeout: 2 * time.Second})
 	t := time.NewTicker(300 * time.Millisecond)
 	defer t.Stop()
 	registered := false
 	for {
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodPost,
-			"http://"+coordinator+"/v1/cluster/register", bytes.NewReader(body))
-		if rerr == nil {
-			req.Header.Set("Content-Type", "application/json")
-			resp, derr := client.Do(req)
-			ok := derr == nil && resp.StatusCode == http.StatusOK
-			if derr == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			if ctx.Err() != nil {
-				return
-			}
-			// Log only the transitions, not the steady state.
-			if ok && !registered {
-				log.Printf("registered with coordinator %s as %s", coordinator, name)
-			}
-			if !ok && registered {
-				log.Printf("coordinator %s unreachable; will keep retrying", coordinator)
-			}
-			registered = ok
+		ok := api.PostJSON(ctx, "/v1/cluster/register", body, nil) == nil
+		if ctx.Err() != nil {
+			return
 		}
+		// Log only the transitions, not the steady state.
+		if ok && !registered {
+			log.Printf("registered with coordinator %s as %s", coordinator, name)
+		}
+		if !ok && registered {
+			log.Printf("coordinator %s unreachable; will keep retrying", coordinator)
+		}
+		registered = ok
 		select {
 		case <-ctx.Done():
 			return

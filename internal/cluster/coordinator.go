@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"smtexplore/internal/client"
 	"smtexplore/internal/service"
 	"smtexplore/internal/tenant"
 )
@@ -775,7 +776,7 @@ func (c *Coordinator) runGroupOn(cj *cjob, g *group) (done, backpressured bool) 
 			// the job: honour the worker's Retry-After (bounded so a
 			// congestion-inflated hint cannot stall the group), retry, and
 			// after the in-place tries route around the busy worker.
-			var refused *RefusedError
+			var refused *client.RefusedError
 			if errors.As(err, &refused) {
 				if !refused.Backpressure() {
 					cj.failGroup(g, fmt.Sprintf("worker %s refused batch: %s", g.worker, refused.Error()))
@@ -793,7 +794,7 @@ func (c *Coordinator) runGroupOn(cj *cjob, g *group) (done, backpressured bool) 
 			}
 		}
 		if err != nil {
-			var refused *RefusedError
+			var refused *client.RefusedError
 			if errors.As(err, &refused) && refused.Backpressure() {
 				return false, true
 			}

@@ -1,16 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
+	"smtexplore/internal/client"
 	"smtexplore/internal/service"
 )
 
@@ -47,7 +41,7 @@ type Worker interface {
 type Remote struct {
 	name string
 	addr string
-	c    *http.Client
+	api  *client.Client
 }
 
 // NewRemote builds the HTTP client for the worker at addr (host:port).
@@ -57,169 +51,39 @@ func NewRemote(name, addr string) *Remote {
 	if name == "" {
 		name = addr
 	}
-	return &Remote{
-		name: name,
-		addr: addr,
-		// Requests are small JSON exchanges; anything slower than this is
-		// the health loop's problem, not a reason to hold a submit hostage.
-		c: &http.Client{Timeout: 10 * time.Second},
-	}
+	// One attempt per call: the coordinator owns retries, migration and
+	// the health loop. Requests are small JSON exchanges; anything slower
+	// than the timeout is the health loop's problem, not a reason to hold
+	// a submit hostage.
+	return &Remote{name: name, addr: addr, api: client.New(addr, client.Policy{Timeout: 10 * time.Second})}
 }
 
 func (r *Remote) Name() string { return r.name }
 func (r *Remote) Addr() string { return r.addr }
 
-// RefusedError is a worker's well-formed rejection of a forwarded
-// submission (any 4xx — tenant quota, AIMD shed, validation): the
-// worker is healthy and said no. The coordinator must not declare the
-// worker dead — a refusal replayed across the fleet would otherwise
-// mark every healthy worker dead in turn. What happens to the group
-// depends on Backpressure(): policy refusals shed it terminally,
-// transient backpressure is retried.
-type RefusedError struct {
-	Status     int
-	Cause      string // X-Quota-Cause when the refusal is a tenant quota
-	Msg        string
-	RetryAfter time.Duration // worker's Retry-After hint, 0 if absent
-}
-
-func (e *RefusedError) Error() string {
-	if e.Cause != "" {
-		return fmt.Sprintf("%s (quota cause %s)", e.Msg, e.Cause)
-	}
-	return e.Msg
-}
-
-// Backpressure reports whether the refusal is transient load shedding
-// (a bare 429 from the AIMD gate or a full queue) rather than policy.
-// A quota-caused 429 is policy — the tenant is over its configured
-// limit, and replaying the demand elsewhere would evade enforcement —
-// as is any other 4xx (validation, unknown tenant). Backpressure just
-// means "not now": the coordinator already accepted the job at the
-// edge, so it owes the client a retry, not a terminal failure.
-func (e *RefusedError) Backpressure() bool {
-	return e.Status == http.StatusTooManyRequests && e.Cause == ""
-}
-
-// apiError extracts the service's {"error": ...} body shape.
-func apiError(resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		return fmt.Errorf("%s: %s", resp.Status, e.Error)
-	}
-	return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-}
-
-func (r *Remote) getJSON(ctx context.Context, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.addr+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.c.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-func (r *Remote) Submit(ctx context.Context, sreq service.SubmitRequest, idemKey string) (string, error) {
-	body, err := json.Marshal(sreq)
-	if err != nil {
-		return "", err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+r.addr+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if idemKey != "" {
-		req.Header.Set("Idempotency-Key", idemKey)
-	}
-	resp, err := r.c.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		err := apiError(resp)
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			var ra time.Duration
-			if n, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && n > 0 {
-				ra = time.Duration(n) * time.Second
-			}
-			return "", &RefusedError{
-				Status:     resp.StatusCode,
-				Cause:      resp.Header.Get("X-Quota-Cause"),
-				Msg:        err.Error(),
-				RetryAfter: ra,
-			}
-		}
-		return "", err
-	}
-	var st service.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return "", err
-	}
-	return st.ID, nil
+// Submit forwards a batch. A well-formed 4xx comes back as a
+// *client.RefusedError: the worker is healthy and said no, so the
+// coordinator must not declare it dead.
+func (r *Remote) Submit(ctx context.Context, req service.SubmitRequest, idemKey string) (string, error) {
+	st, err := r.api.Submit(ctx, req, idemKey)
+	return st.ID, err
 }
 
 func (r *Remote) Status(ctx context.Context, id string) (service.JobStatus, error) {
-	var st service.JobStatus
-	err := r.getJSON(ctx, "/v1/jobs/"+id, &st)
-	return st, err
+	return r.api.Status(ctx, id)
 }
 
 func (r *Remote) Result(ctx context.Context, id string) (service.JobResult, error) {
-	var res service.JobResult
-	err := r.getJSON(ctx, "/v1/jobs/"+id+"/result", &res)
-	return res, err
+	return r.api.Result(ctx, id)
 }
 
 func (r *Remote) Cancel(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, "http://"+r.addr+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.c.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	return nil
+	_, err := r.api.Cancel(ctx, id)
+	return err
 }
 
-func (r *Remote) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.addr+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.c.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-	// A draining worker answers 503: alive as a process, but it must not
-	// receive new work and its in-flight jobs will park checkpoints —
-	// treat it like a dead member for routing purposes.
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz: %s", resp.Status)
-	}
-	return nil
-}
+// Health treats a draining worker (503) like a dead one for routing:
+// its in-flight jobs will park checkpoints and it must not get new work.
+func (r *Remote) Health(ctx context.Context) error { return r.api.Health(ctx) }
 
-func (r *Remote) Stats(ctx context.Context) (service.Metrics, error) {
-	var m service.Metrics
-	err := r.getJSON(ctx, "/v1/stats", &m)
-	return m, err
-}
+func (r *Remote) Stats(ctx context.Context) (service.Metrics, error) { return r.api.Stats(ctx) }

@@ -11,28 +11,49 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"smtexplore/internal/service"
 )
 
+// The runner's client starts on the first target, rotates past a dead
+// one, learns a leader a standby names even when it is not a target,
+// and stays there once a submission is accepted.
 func TestTargetSetRotatesAndFollowsLeader(t *testing.T) {
-	ts := newTargetSet("a:1, b:2")
-	if got := ts.pick(); got != "a:1" {
-		t.Fatalf("initial pick %q", got)
-	}
-	ts.observe(nil, context.DeadlineExceeded)
-	if got := ts.pick(); got != "b:2" {
-		t.Fatalf("after transport error pick %q", got)
-	}
-	resp := &http.Response{
-		StatusCode: http.StatusServiceUnavailable,
-		Header:     http.Header{"X-Cluster-Leader": []string{"c:3"}},
-	}
-	ts.observe(resp, nil)
-	if got := ts.pick(); got != "c:3" {
-		t.Fatalf("leader redirect pick %q, want c:3 (learned)", got)
-	}
-	ts.observe(&http.Response{StatusCode: http.StatusAccepted, Header: http.Header{}}, nil)
-	if got := ts.pick(); got != "c:3" {
-		t.Fatalf("success must not move the pick, got %q", got)
+	var leaderHits, standbyHits atomic.Int64
+	d := newStubDaemon("")
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		leaderHits.Add(1)
+		d.handler().ServeHTTP(w, r)
+	}))
+	defer leader.Close()
+	standby := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		standbyHits.Add(1)
+		w.Header().Set("X-Cluster-Leader", strings.TrimPrefix(leader.URL, "http://"))
+		http.Error(w, `{"error":"not the leader"}`, http.StatusServiceUnavailable)
+	}))
+	defer standby.Close()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadAddr := strings.TrimPrefix(dead.URL, "http://")
+	dead.Close()
+
+	r := &Runner{Target: deadAddr + ", " + strings.TrimPrefix(standby.URL, "http://")}
+	r.client().Sleep = func(context.Context, time.Duration) error { return nil }
+	api := r.client().As("light")
+	req := service.SubmitRequest{Cells: []service.CellSpec{{Type: service.TypeStream, Streams: []service.StreamSpec{{Kind: "fadd"}}}}}
+	for i := 1; i <= 2; i++ {
+		st, err := api.Submit(context.Background(), req, "")
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if st.ID == "" {
+			t.Fatalf("submit %d: no job ID", i)
+		}
+		if got := leaderHits.Load(); got != int64(i) {
+			t.Errorf("after submit %d the leader saw %d requests, want %d", i, got, i)
+		}
+		if got := standbyHits.Load(); got != 1 {
+			t.Errorf("after submit %d the standby saw %d requests, want 1", i, got)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package loadgen
 
 import (
-	"bytes"
+	"cmp"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -15,27 +15,11 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"smtexplore/internal/client"
+	"smtexplore/internal/cluster"
+	"smtexplore/internal/service"
 )
-
-// submitRequest mirrors the daemon's POST /v1/jobs body. Declared
-// locally so the harness exercises the wire contract, not shared Go
-// structs — a field the daemon renames breaks this harness the same
-// way it breaks real clients.
-type submitRequest struct {
-	Cells    []cellSpec `json:"cells"`
-	Priority int        `json:"priority,omitempty"`
-	Deadline string     `json:"deadline,omitempty"`
-}
-
-type cellSpec struct {
-	Type    string       `json:"type"`
-	Streams []streamSpec `json:"streams"`
-	Window  uint64       `json:"window,omitempty"`
-}
-
-type streamSpec struct {
-	Kind string `json:"kind"`
-}
 
 // jobOutcome is one submitted job's fate.
 type jobOutcome struct {
@@ -46,6 +30,12 @@ type jobOutcome struct {
 	cells   int
 }
 
+// submitWindow bounds how long a submission keeps retrying across
+// transport errors and leaderless 503s before it counts as an error.
+// This is what turns a coordinator failover into added latency instead
+// of failed jobs.
+const submitWindow = 5 * time.Second
+
 // Runner drives one scenario against one target — or, for an HA
 // coordinator pair, a comma-separated pair of targets with automatic
 // failover.
@@ -53,41 +43,25 @@ type Runner struct {
 	Target string // host:port of smtd or coordinator; "a,b" for an HA pair
 	// Log receives progress lines (nil: quiet).
 	Log io.Writer
-	// Client overrides the HTTP client (tests); nil uses a 10s-timeout
-	// default.
-	Client *http.Client
 	// PollEvery paces job-completion polling (0 → 50ms).
 	PollEvery time.Duration
 	// Kill overrides the kill phase's action (tests); nil sends SIGKILL
 	// to the pidfile's process.
 	Kill func(pidfile string) error
-	// SubmitRetry bounds how long a submission keeps retrying across
-	// transport errors and leaderless 503s before counting as an error
-	// (0 → 5s). This is what turns a coordinator failover into added
-	// latency instead of failed jobs.
-	SubmitRetry time.Duration
 
-	tsOnce sync.Once
-	ts     *targetSet
+	apiOnce sync.Once
+	api     *client.Client
 }
 
-func (r *Runner) client() *http.Client {
-	if r.Client != nil {
-		return r.Client
-	}
-	return &http.Client{Timeout: 10 * time.Second}
-}
-
-func (r *Runner) targets() *targetSet {
-	r.tsOnce.Do(func() { r.ts = newTargetSet(r.Target) })
-	return r.ts
-}
-
-func (r *Runner) submitRetry() time.Duration {
-	if r.SubmitRetry > 0 {
-		return r.SubmitRetry
-	}
-	return 5 * time.Second
+// client is the run's job-API client. Its endpoint picker is shared by
+// every generator goroutine, so one job discovering a failover steers
+// the whole run. Each request may retry for submitWindow, but a 429 is
+// final: the run records it as a shed.
+func (r *Runner) client() *client.Client {
+	r.apiOnce.Do(func() {
+		r.api = client.New(r.Target, client.Policy{Window: submitWindow, Timeout: 10 * time.Second})
+	})
+	return r.api
 }
 
 func (r *Runner) pollEvery() time.Duration {
@@ -202,21 +176,8 @@ func (r *Runner) armFaults(ctx context.Context, planFile string) error {
 	if err != nil {
 		return err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+r.targets().pick()+"/v1/faults", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := r.client().Do(hreq)
-	r.targets().observe(resp, err)
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("loadgen: arm faults: %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+	if err := r.client().PostJSON(ctx, "/v1/faults", data, nil); err != nil {
+		return fmt.Errorf("loadgen: arm faults: %w", err)
 	}
 	return nil
 }
@@ -227,16 +188,7 @@ func (r *Runner) armFaults(ctx context.Context, planFile string) error {
 // daemons 404 it). Either being absent just leaves the report's
 // corresponding section empty.
 func (r *Runner) collectTelemetry(ctx context.Context, rep *Report) {
-	// service.Metrics marshals without json tags, so the field names
-	// here match the Go names on the wire.
-	var m struct {
-		BreakerState   string
-		StoreDegraded  bool
-		BreakerTrips   uint64
-		StoreIOErrors  uint64
-		FaultsInjected uint64
-	}
-	if r.getJSON(ctx, "/v1/stats", &m) == nil {
+	if m, err := r.client().Stats(ctx); err == nil {
 		rep.Daemon = &DaemonStats{
 			BreakerState:   m.BreakerState,
 			StoreDegraded:  m.StoreDegraded,
@@ -245,34 +197,12 @@ func (r *Runner) collectTelemetry(ctx context.Context, rep *Report) {
 			FaultsInjected: m.FaultsInjected,
 		}
 	}
-	var top struct {
-		Role                   string  `json:"role"`
-		Promotions             uint64  `json:"promotions"`
-		JobsAdopted            uint64  `json:"jobs_adopted"`
-		FailoverLatencySeconds float64 `json:"failover_latency_seconds"`
-	}
-	if r.getJSON(ctx, "/v1/cluster", &top) == nil && top.Role != "" {
+	var top cluster.Topology
+	if r.client().GetJSON(ctx, "/v1/cluster", &top) == nil && top.Role != "" {
 		rep.Promotions = top.Promotions
 		rep.JobsAdopted = top.JobsAdopted
 		rep.FailoverLatencySeconds = top.FailoverLatencySeconds
 	}
-}
-
-func (r *Runner) getJSON(ctx context.Context, path string, v any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.targets().pick()+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.client().Do(hreq)
-	r.targets().observe(resp, err)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("loadgen: %s: %s", path, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // generate replays one tenant's precomputed arrival schedule.
@@ -304,82 +234,38 @@ func (r *Runner) generate(ctx context.Context, t *TenantLoad, sc Scenario, start
 // submitAndWatch submits one job and follows it to a terminal state.
 func (r *Runner) submitAndWatch(ctx context.Context, t *TenantLoad, seq uint64, sc Scenario) jobOutcome {
 	out := jobOutcome{tenant: t.Name, cells: t.cells()}
-	req := submitRequest{Priority: t.Priority}
+	req := service.SubmitRequest{Priority: t.Priority}
 	if d := time.Duration(t.Deadline); d > 0 {
 		req.Deadline = d.String()
 	}
 	step := t.windowStep()
 	for k := 0; k < t.cells(); k++ {
-		req.Cells = append(req.Cells, cellSpec{
-			Type:    "stream",
-			Streams: []streamSpec{{Kind: t.kind()}},
+		req.Cells = append(req.Cells, service.CellSpec{
+			Type:    service.TypeStream,
+			Streams: []service.StreamSpec{{Kind: t.kind()}},
 			Window:  t.windowBase() + (seq+uint64(k))*step,
 		})
 	}
-	body, _ := json.Marshal(req)
+	api := r.client().As(t.Name)
 
 	submitted := time.Now()
-	// Submission survives a coordinator failover: transport errors and
-	// election-window 503s retry against the picker's next choice until
-	// the retry budget runs out. The per-job Idempotency-Key makes the
-	// retries safe — if a dying coordinator did accept the first attempt
-	// and journal it, the new leader adopts the job and hands back the
-	// same ID instead of running it twice.
-	retryUntil := time.Now().Add(r.submitRetry())
-	var resp *http.Response
-	var respBody []byte
-	for {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+r.targets().pick()+"/v1/jobs", bytes.NewReader(body))
-		if err != nil {
-			out.state, out.cause = "error", err.Error()
-			return out
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set("X-Tenant", t.Name)
-		hreq.Header.Set("Idempotency-Key", fmt.Sprintf("loadgen-%s-%d", t.Name, seq))
-		resp, err = r.client().Do(hreq)
-		r.targets().observe(resp, err)
-		if err == nil {
-			respBody, _ = io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				break
-			}
-		}
-		if ctx.Err() != nil || time.Now().After(retryUntil) {
-			out.state = "error"
-			if err != nil {
-				out.cause = err.Error()
-			} else {
-				out.cause = fmt.Sprintf("%d: %s", resp.StatusCode, strings.TrimSpace(string(respBody)))
-			}
-			return out
-		}
-		select {
-		case <-ctx.Done():
-			out.state, out.cause = "error", ctx.Err().Error()
-			return out
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
+	// Submission survives a coordinator failover: the client retries
+	// transport errors and election-window 503s against the picker's
+	// next choice for submitWindow. The per-job Idempotency-Key makes
+	// the retries safe — if a dying coordinator did accept the first
+	// attempt and journal it, the new leader adopts the job and hands
+	// back the same ID instead of running it twice.
+	st, err := api.Submit(ctx, req, fmt.Sprintf("loadgen-%s-%d", t.Name, seq))
+	var refused *client.RefusedError
 	switch {
-	case resp.StatusCode == http.StatusAccepted:
-	case resp.StatusCode == http.StatusTooManyRequests:
+	case errors.As(err, &refused) && refused.Status == http.StatusTooManyRequests:
 		out.state = "shed"
-		if out.cause = resp.Header.Get("X-Quota-Cause"); out.cause == "" {
-			out.cause = "backpressure"
-		}
+		out.cause = cmp.Or(refused.Cause, "backpressure")
 		return out
-	default:
-		out.state = "error"
-		out.cause = fmt.Sprintf("%d: %s", resp.StatusCode, strings.TrimSpace(string(respBody)))
+	case err != nil:
+		out.state, out.cause = "error", err.Error()
 		return out
-	}
-	var st struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
-	if err := json.Unmarshal(respBody, &st); err != nil || st.ID == "" {
+	case st.ID == "":
 		out.state, out.cause = "error", "unparseable submit response"
 		return out
 	}
@@ -398,27 +284,12 @@ func (r *Runner) submitAndWatch(ctx context.Context, t *TenantLoad, seq uint64, 
 			return out
 		case <-time.After(r.pollEvery()):
 		}
-		sreq, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.targets().pick()+"/v1/jobs/"+st.ID, nil)
-		if err != nil {
-			out.state, out.cause = "error", err.Error()
-			return out
-		}
-		sresp, err := r.client().Do(sreq)
-		r.targets().observe(sresp, err)
+		jst, err := api.Status(ctx, st.ID)
 		if err != nil {
 			continue // the daemon may be mid-restart or mid-failover; keep polling to the budget
 		}
-		var jst struct {
-			State string `json:"state"`
-			Error string `json:"error"`
-		}
-		decErr := json.NewDecoder(sresp.Body).Decode(&jst)
-		sresp.Body.Close()
-		if decErr != nil || sresp.StatusCode != http.StatusOK {
-			continue
-		}
 		switch jst.State {
-		case "done", "failed", "cancelled":
+		case service.JobDone, service.JobFailed, service.JobCancelled:
 			out.state = jst.State
 			out.cause = jst.Error
 			out.latency = time.Since(submitted)

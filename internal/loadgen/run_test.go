@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"smtexplore/internal/service"
 )
 
 func TestArrivalsDeterministicAndIndependent(t *testing.T) {
@@ -109,7 +111,7 @@ func (d *stubDaemon) handler() http.Handler {
 			http.Error(w, "tenant over quota", http.StatusTooManyRequests)
 			return
 		}
-		var req submitRequest
+		var req service.SubmitRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Cells) == 0 {
 			http.Error(w, "bad request", http.StatusBadRequest)
 			return

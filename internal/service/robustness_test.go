@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -410,7 +411,11 @@ func TestHTTPHealthzDegradedAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := store.NewBreaker(st, 1, time.Millisecond)
+	// The breaker's clock stands still until the test moves it past the
+	// cooldown, so the degraded poll cannot race a recovery probe.
+	var clock atomic.Int64
+	now := func() time.Time { return time.Unix(0, clock.Load()) }
+	b := store.NewBreaker(st, 1, time.Second).WithClock(now)
 	cache := runner.NewCache().WithTier(b)
 	s := stubService(Config{Cache: cache, Store: st, Breaker: b}, instantDone)
 	defer s.Close()
@@ -436,8 +441,9 @@ func TestHTTPHealthzDegradedAndRecovery(t *testing.T) {
 		t.Fatalf("healthz while degraded: %d %q, want 200 degraded", code, body)
 	}
 
-	// The fault window is exhausted and the cooldown tiny: polling
+	// The fault window is exhausted and the cooldown over: polling
 	// healthz must flip it back to ok via the embedded probe.
+	clock.Add(int64(time.Second))
 	deadline := time.After(5 * time.Second)
 	for {
 		if _, body := get(); body == "ok" {

@@ -28,7 +28,7 @@ type Breaker struct {
 	under     *Store
 	threshold int
 	cooldown  time.Duration
-	now       func() time.Time // test hook
+	now       func() time.Time // see WithClock
 
 	mu       sync.Mutex
 	state    string
@@ -144,6 +144,14 @@ func (b *Breaker) Delete(key string) {
 		return
 	}
 	b.under.Delete(key)
+}
+
+// WithClock makes the breaker read time from now instead of the wall
+// clock, so a test decides when the cooldown has elapsed. Call it
+// before the breaker is shared; now must be safe for concurrent use.
+func (b *Breaker) WithClock(now func() time.Time) *Breaker {
+	b.now = now
+	return b
 }
 
 // Probe nudges a degraded circuit toward recovery with a sentinel

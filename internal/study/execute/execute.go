@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"time"
 
+	"smtexplore/internal/client"
 	"smtexplore/internal/experiments"
 	"smtexplore/internal/runner"
 	"smtexplore/internal/service"
@@ -124,19 +125,12 @@ func (l *Local) Run(ctx context.Context, cells []service.CellSpec, opt Options) 
 	return out, nil
 }
 
-// Remote executes cells as one job against a daemon's HTTP API via the
-// cluster's Worker client — a coordinator address works identically to
-// a single smtd.
+// Remote executes cells as one job against a daemon's HTTP API — a
+// coordinator or an HA pair works identically to a single smtd.
 type Remote struct {
-	// Worker is the daemon client (cluster.NewRemote or a test fake).
-	Worker interface {
-		Submit(ctx context.Context, req service.SubmitRequest, idemKey string) (string, error)
-		Status(ctx context.Context, id string) (service.JobStatus, error)
-		Result(ctx context.Context, id string) (service.JobResult, error)
-		Stats(ctx context.Context) (service.Metrics, error)
-	}
-	// Poll is the status-poll cadence (0 → 250ms).
-	Poll time.Duration
+	// Client is the job-API client; its tenant, retry policy and
+	// endpoints apply to the study's job.
+	Client *client.Client
 }
 
 func (r *Remote) Name() string { return "daemon" }
@@ -151,35 +145,20 @@ func (r *Remote) Run(ctx context.Context, cells []service.CellSpec, opt Options)
 	if opt.Deadline > 0 {
 		req.Deadline = opt.Deadline.String()
 	}
-	before, statsErr := r.Worker.Stats(ctx)
-	id, err := r.Worker.Submit(ctx, req, runner.Key("study-job", cells, opt.Priority, req.Deadline))
+	before, statsErr := r.Client.Stats(ctx)
+	st, err := r.Client.Submit(ctx, req, runner.Key("study-job", cells, opt.Priority, req.Deadline))
 	if err != nil {
 		return nil, fmt.Errorf("execute: submit: %w", err)
 	}
-	poll := r.Poll
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
+	if _, err := r.Client.Follow(ctx, st.ID, nil); err != nil {
+		return nil, fmt.Errorf("execute: follow %s: %w", st.ID, err)
 	}
-	for {
-		st, err := r.Worker.Status(ctx, id)
-		if err != nil {
-			return nil, fmt.Errorf("execute: status %s: %w", id, err)
-		}
-		if st.State == service.JobDone || st.State == service.JobFailed || st.State == service.JobCancelled {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(poll):
-		}
-	}
-	res, err := r.Worker.Result(ctx, id)
+	res, err := r.Client.Result(ctx, st.ID)
 	if err != nil {
-		return nil, fmt.Errorf("execute: result %s: %w", id, err)
+		return nil, fmt.Errorf("execute: result %s: %w", st.ID, err)
 	}
 	out := &Outcome{Results: res.Cells, Backend: r.Name(), Simulated: -1}
-	if after, err2 := r.Worker.Stats(ctx); err2 == nil && statsErr == nil {
+	if after, err2 := r.Client.Stats(ctx); err2 == nil && statsErr == nil {
 		out.Simulated = int(after.CellsSimulated - before.CellsSimulated)
 		out.Notes = append(out.Notes,
 			"simulated-cell count is the daemon-wide delta over the study and includes any concurrent load")

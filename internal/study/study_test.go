@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"smtexplore/internal/cluster"
+	"smtexplore/internal/client"
 	"smtexplore/internal/experiments"
 	"smtexplore/internal/runner"
 	"smtexplore/internal/service"
@@ -176,7 +176,7 @@ func TestRemoteBackendParity(t *testing.T) {
 	defer srv.Close()
 	addr := strings.TrimPrefix(srv.URL, "http://")
 
-	remote, err := Run(ctx, s, RunConfig{Backend: &execute.Remote{Worker: cluster.NewRemote("w", addr)}})
+	remote, err := Run(ctx, s, RunConfig{Backend: &execute.Remote{Client: client.New(addr, client.Policy{})}})
 	if err != nil {
 		t.Fatalf("remote run: %v", err)
 	}
