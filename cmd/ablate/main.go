@@ -24,10 +24,10 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"slices"
 
+	"smtexplore/internal/cli"
 	"smtexplore/internal/experiments"
-	"smtexplore/internal/runner"
-	"smtexplore/internal/store"
 )
 
 // errUsage marks a command-line error already reported to stderr; the
@@ -59,64 +59,34 @@ func run(args []string, out io.Writer) error {
 		}
 		return errUsage // the flag package already reported the problem
 	}
-	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "ablate: invalid -workers %d (must be >= 1)\n", *workers)
+	usage := func(format string, a ...any) error {
+		fmt.Fprintf(os.Stderr, "ablate: "+format+"\n", a...)
 		fs.Usage()
 		return errUsage
 	}
-	cache := runner.NewCache()
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, 0)
-		if err != nil {
-			return err
+	if *workers < 1 {
+		return usage("invalid -workers %d (must be >= 1)", *workers)
+	}
+	// The -study spellings are the catalogue names themselves.
+	names := []string{"sync", "span", "partition", "selective"}
+	if *study != "all" {
+		if !slices.Contains(names, *study) {
+			return usage("unknown study %q", *study)
 		}
-		cache.WithTier(st)
+		names = []string{*study}
+	}
+	cache, err := cli.OpenCache(*storeDir)
+	if err != nil {
+		return err
 	}
 
-	ctx := context.Background()
 	opt := experiments.Options{Workers: *workers, Cache: cache}
-	runStudy := func(name string) error {
-		var rows []experiments.AblationRow
-		var title string
-		var err error
-		switch name {
-		case "sync":
-			title = "Ablation §3.1 — wait primitive of the MM prefetcher"
-			rows, err = experiments.AblateSync(ctx, opt)
-		case "span":
-			title = "Ablation §3.2 — precomputation span of the MM prefetcher"
-			rows, err = experiments.AblateSpan(ctx, opt)
-		case "partition":
-			title = "Ablation §5.3 — static partitioning vs fully shared buffers"
-			rows, err = experiments.AblatePartition(ctx, opt)
-		case "selective":
-			r, serr := experiments.SelectiveHaltLU(ctx, opt, 64)
-			if serr != nil {
-				return serr
-			}
-			fmt.Fprint(out, experiments.FormatSelectiveHalt(r))
-			fmt.Fprintln(out)
-			return nil
-		default:
-			fmt.Fprintf(os.Stderr, "unknown study %q\n", name)
-			fs.Usage()
-			return errUsage
-		}
+	for _, name := range names {
+		text, err := experiments.Render(context.Background(), opt, name, experiments.Params{})
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(out, experiments.FormatAblation(title, rows))
-		fmt.Fprintln(out)
-		return nil
+		fmt.Fprint(out, text)
 	}
-
-	if *study == "all" {
-		for _, s := range []string{"sync", "span", "partition", "selective"} {
-			if err := runStudy(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return runStudy(*study)
+	return nil
 }

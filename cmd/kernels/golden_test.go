@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -54,4 +55,23 @@ func TestGoldenTable1(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "table1", buf.Bytes())
+}
+
+// Usage errors (exit status 2) are reported before any simulation runs.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bench", "nope"},
+		{"-bench", "mm", "-table", "2"},
+		{"-table", "2"},
+		{"-workers", "0"},
+		{"-no-such-flag"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); !errors.Is(err, errUsage) {
+			t.Errorf("run(%q) = %v, want errUsage", args, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("run(%q) printed %q before failing", args, buf.String())
+		}
+	}
 }

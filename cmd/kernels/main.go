@@ -32,12 +32,9 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
+	"smtexplore/internal/cli"
 	"smtexplore/internal/experiments"
-	"smtexplore/internal/runner"
-	"smtexplore/internal/store"
 )
 
 // errUsage marks a command-line error already reported to stderr; the
@@ -58,135 +55,68 @@ func main() {
 	}
 }
 
-// parseSizes parses a comma-separated size list ("32,64").
-func parseSizes(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("invalid size %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// observeFlags assembles the optional artifact sink shared by the
-// experiment CLIs.
-func observeFlags(fs *flag.FlagSet) func() *experiments.Observe {
-	dir := fs.String("observe", "", "write per-cell trace/occupancy/metrics artifacts into this directory")
-	match := fs.String("observe-match", "", "observe only cells whose label contains this substring")
-	return func() *experiments.Observe {
-		if *dir == "" {
-			return nil
-		}
-		ob := &experiments.Observe{Dir: *dir}
-		if *match != "" {
-			ob.Match = experiments.MatchSubstring(*match)
-		}
-		return ob
-	}
-}
+// benches maps the -bench spellings onto the experiments catalogue.
+var benches = map[string]string{"mm": "fig3", "lu": "fig4", "cg": "fig5cg", "bt": "fig5bt"}
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("kernels", flag.ContinueOnError)
 	bench := fs.String("bench", "", "benchmark figure to regenerate: mm, lu, cg, bt or all")
 	table := fs.Int("table", 0, "table to regenerate (1)")
-	sizes := fs.String("sizes", "", "comma-separated MM/LU problem sizes (default: the paper's 32,64,128)")
+	sizesFlag := fs.String("sizes", "", "comma-separated MM/LU problem sizes (default: the paper's 32,64,128)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation cells (must be >= 1)")
 	storeDir := fs.String("store", "", "disk-backed result store directory, shared with smtd and the other CLIs")
-	observe := observeFlags(fs)
+	observe := cli.ObserveFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
 		return errUsage // the flag package already reported the problem
 	}
-	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "kernels: invalid -workers %d (must be >= 1)\n", *workers)
+	usage := func(format string, a ...any) error {
+		fmt.Fprintf(os.Stderr, "kernels: "+format+"\n", a...)
 		fs.Usage()
 		return errUsage
 	}
-	mmSizes, luSizes := experiments.MMSizes(), experiments.LUSizes()
-	if ns, err := parseSizes(*sizes); err != nil {
-		return err
-	} else if ns != nil {
-		mmSizes, luSizes = ns, ns
+	if *workers < 1 {
+		return usage("invalid -workers %d (must be >= 1)", *workers)
 	}
-	cache := runner.NewCache()
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, 0)
-		if err != nil {
-			return err
-		}
-		cache.WithTier(st)
+	sizes, err := cli.ParseSizes(*sizesFlag)
+	if err != nil {
+		return err
 	}
 
 	if *bench == "" && *table == 0 {
 		*bench = "all"
 		*table = 1
 	}
-
-	ctx := context.Background()
-	opt := experiments.Options{Workers: *workers, Cache: cache, Observe: observe()}
-	runFig := func(name string) error {
-		switch name {
-		case "mm":
-			ms, err := experiments.Fig3MM(ctx, opt, mmSizes)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatKernelFigure("Figure 3 — Matrix Multiplication", ms))
-		case "lu":
-			ms, err := experiments.Fig4LU(ctx, opt, luSizes)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatKernelFigure("Figure 4 — LU decomposition", ms))
-		case "cg":
-			ms, err := experiments.Fig5CG(ctx, opt)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatKernelFigure("Figure 5 — NAS CG", ms))
-		case "bt":
-			ms, err := experiments.Fig5BT(ctx, opt)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatKernelFigure("Figure 5 — NAS BT", ms))
-		default:
-			return fmt.Errorf("unknown benchmark %q", name)
-		}
-		fmt.Fprintln(out)
-		return nil
+	var names []string
+	switch name, ok := benches[*bench]; {
+	case *bench == "all":
+		names = []string{"fig3", "fig4", "fig5cg", "fig5bt"}
+	case ok:
+		names = []string{name}
+	case *bench != "":
+		return usage("unknown benchmark %q", *bench)
 	}
-
-	switch *bench {
-	case "all":
-		for _, b := range []string{"mm", "lu", "cg", "bt"} {
-			if err := runFig(b); err != nil {
-				return err
-			}
-		}
-	case "":
+	switch *table {
+	case 0:
+	case 1:
+		names = append(names, "table1")
 	default:
-		if err := runFig(*bench); err != nil {
-			return err
-		}
+		return usage("unknown table %d", *table)
+	}
+	cache, err := cli.OpenCache(*storeDir)
+	if err != nil {
+		return err
 	}
 
-	if *table == 1 {
-		cols, err := experiments.Table1(ctx, opt)
+	opt := experiments.Options{Workers: *workers, Cache: cache, Observe: observe()}
+	for _, name := range names {
+		text, err := experiments.Render(context.Background(), opt, name, experiments.Params{Sizes: sizes})
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(out, experiments.FormatTable1(cols))
-	} else if *table != 0 {
-		return fmt.Errorf("unknown table %d", *table)
+		fmt.Fprint(out, text)
 	}
 	return nil
 }

@@ -24,13 +24,10 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
+	"smtexplore/internal/cli"
 	"smtexplore/internal/experiments"
 	"smtexplore/internal/report"
-	"smtexplore/internal/runner"
-	"smtexplore/internal/store"
 )
 
 // errUsage marks a command-line error already reported to stderr; the
@@ -49,21 +46,6 @@ func main() {
 		}
 		log.Fatal(err)
 	}
-}
-
-func parseSizes(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("invalid size %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func run(args []string, out io.Writer) error {
@@ -85,13 +67,9 @@ func run(args []string, out io.Writer) error {
 		return errUsage
 	}
 
-	cache := runner.NewCache()
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, 0)
-		if err != nil {
-			return err
-		}
-		cache.WithTier(st)
+	cache, err := cli.OpenCache(*storeDir)
+	if err != nil {
+		return err
 	}
 
 	opt := report.Options{Workers: *workers, Cache: cache}
@@ -105,7 +83,7 @@ func run(args []string, out io.Writer) error {
 			Cache:         cache,
 		}
 	}
-	if ns, err := parseSizes(*sizes); err != nil {
+	if ns, err := cli.ParseSizes(*sizes); err != nil {
 		return err
 	} else if ns != nil {
 		opt.MMSizes, opt.LUSizes = ns, ns
@@ -118,19 +96,13 @@ func run(args []string, out io.Writer) error {
 
 	if *verbose {
 		if d.Fig1 != nil {
-			fmt.Fprint(out, experiments.FormatFig1(d.Fig1))
-			fmt.Fprintln(out)
+			fmt.Fprintln(out, experiments.FormatFig1(d.Fig1))
 		}
-		fmt.Fprint(out, experiments.FormatKernelFigure("Figure 3 — Matrix Multiplication", d.MM))
-		fmt.Fprintln(out)
-		fmt.Fprint(out, experiments.FormatKernelFigure("Figure 4 — LU decomposition", d.LU))
-		fmt.Fprintln(out)
-		fmt.Fprint(out, experiments.FormatKernelFigure("Figure 5 — NAS CG", d.CG))
-		fmt.Fprintln(out)
-		fmt.Fprint(out, experiments.FormatKernelFigure("Figure 5 — NAS BT", d.BT))
-		fmt.Fprintln(out)
-		fmt.Fprint(out, experiments.FormatTable1(d.Table1))
-		fmt.Fprintln(out)
+		fmt.Fprintln(out, experiments.FormatKernelFigure(experiments.Title("fig3"), d.MM))
+		fmt.Fprintln(out, experiments.FormatKernelFigure(experiments.Title("fig4"), d.LU))
+		fmt.Fprintln(out, experiments.FormatKernelFigure(experiments.Title("fig5cg"), d.CG))
+		fmt.Fprintln(out, experiments.FormatKernelFigure(experiments.Title("fig5bt"), d.BT))
+		fmt.Fprintln(out, experiments.FormatTable1(d.Table1))
 	}
 
 	fmt.Fprint(out, report.Format(report.Evaluate(d)))

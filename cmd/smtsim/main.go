@@ -226,15 +226,6 @@ func runPrograms(out io.Writer, ov *observer, list string, window uint64, timeli
 	return ov.flush(machine, "program:"+list, res.Completed)
 }
 
-func parseMode(s string) (kernels.Mode, error) {
-	for _, m := range kernels.AllModes() {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
-}
-
 func parseBenchmark(s string) (core.Benchmark, error) {
 	switch s {
 	case "mm":
@@ -249,21 +240,12 @@ func parseBenchmark(s string) (core.Benchmark, error) {
 	return 0, fmt.Errorf("unknown kernel %q", s)
 }
 
-func parseKind(s string) (streams.Kind, error) {
-	for _, k := range streams.All() {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown stream %q", s)
-}
-
 func runKernel(out io.Writer, ov *observer, kernel, modeName string, size int) error {
 	b, err := parseBenchmark(kernel)
 	if err != nil {
 		return err
 	}
-	m, err := parseMode(modeName)
+	m, err := kernels.ParseMode(modeName)
 	if err != nil {
 		return err
 	}
@@ -304,7 +286,7 @@ func runStreams(out io.Writer, ov *observer, list string, ilp int, window uint64
 	defer machine.Close()
 	ov.attach(machine)
 	for i, p := range parts {
-		k, err := parseKind(strings.TrimSpace(p))
+		k, err := streams.ParseKind(strings.TrimSpace(p))
 		if err != nil {
 			return err
 		}

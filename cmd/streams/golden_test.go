@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -43,4 +44,22 @@ func TestGoldenFig1(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig1", buf.Bytes())
+}
+
+// Usage errors (exit status 2) are reported before any simulation runs.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "9"},
+		{"-fig", "2d"},
+		{"-workers", "0"},
+		{"-no-such-flag"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); !errors.Is(err, errUsage) {
+			t.Errorf("run(%q) = %v, want errUsage", args, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("run(%q) printed %q before failing", args, buf.String())
+		}
+	}
 }

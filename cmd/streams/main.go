@@ -30,10 +30,8 @@ import (
 	"os"
 	"runtime"
 
+	"smtexplore/internal/cli"
 	"smtexplore/internal/experiments"
-	"smtexplore/internal/runner"
-	"smtexplore/internal/store"
-	"smtexplore/internal/streams"
 )
 
 // errUsage marks a command-line error already reported to stderr; the
@@ -54,22 +52,8 @@ func main() {
 	}
 }
 
-// observeFlags assembles the optional artifact sink shared by the
-// experiment CLIs.
-func observeFlags(fs *flag.FlagSet) func() *experiments.Observe {
-	dir := fs.String("observe", "", "write per-cell trace/occupancy/metrics artifacts into this directory")
-	match := fs.String("observe-match", "", "observe only cells whose label contains this substring")
-	return func() *experiments.Observe {
-		if *dir == "" {
-			return nil
-		}
-		ob := &experiments.Observe{Dir: *dir}
-		if *match != "" {
-			ob.Match = experiments.MatchSubstring(*match)
-		}
-		return ob
-	}
-}
+// figures maps the -fig spellings onto the experiments catalogue.
+var figures = map[string]string{"1": "fig1", "2a": "fig2a", "2b": "fig2b", "2c": "fig2c"}
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("streams", flag.ContinueOnError)
@@ -77,74 +61,41 @@ func run(args []string, out io.Writer) error {
 	full := fs.Bool("full", false, "Figure 1 over all stream kinds, not just the paper's selection")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation cells (must be >= 1)")
 	storeDir := fs.String("store", "", "disk-backed result store directory, shared with smtd and the other CLIs")
-	observe := observeFlags(fs)
+	observe := cli.ObserveFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
 		return errUsage // the flag package already reported the problem
 	}
-	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "streams: invalid -workers %d (must be >= 1)\n", *workers)
+	usage := func(format string, a ...any) error {
+		fmt.Fprintf(os.Stderr, "streams: "+format+"\n", a...)
 		fs.Usage()
 		return errUsage
 	}
-	cache := runner.NewCache()
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, 0)
+	if *workers < 1 {
+		return usage("invalid -workers %d (must be >= 1)", *workers)
+	}
+	names := []string{"fig1", "fig2a", "fig2b", "fig2c"}
+	if *fig != "all" {
+		name, ok := figures[*fig]
+		if !ok {
+			return usage("unknown figure %q", *fig)
+		}
+		names = []string{name}
+	}
+	cache, err := cli.OpenCache(*storeDir)
+	if err != nil {
+		return err
+	}
+
+	opt := experiments.Options{Workers: *workers, Cache: cache, Observe: observe()}
+	for _, name := range names {
+		text, err := experiments.Render(context.Background(), opt, name, experiments.Params{AllKinds: *full})
 		if err != nil {
 			return err
 		}
-		cache.WithTier(st)
+		fmt.Fprint(out, text)
 	}
-
-	ctx := context.Background()
-	opt := experiments.Options{Workers: *workers, Cache: cache, Observe: observe()}
-	mcfg := experiments.StreamMachineConfig()
-	runFig := func(name string) error {
-		switch name {
-		case "1":
-			kinds := experiments.Fig1Kinds()
-			if *full {
-				kinds = streams.All()
-			}
-			rows, err := experiments.Fig1(ctx, opt, mcfg, kinds)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatFig1(rows))
-		case "2a":
-			cells, err := experiments.Fig2a(ctx, opt, mcfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatFig2("Figure 2(a) — floating-point streams", cells))
-		case "2b":
-			cells, err := experiments.Fig2b(ctx, opt, mcfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatFig2("Figure 2(b) — integer streams", cells))
-		case "2c":
-			cells, err := experiments.Fig2c(ctx, opt, mcfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatFig2("Figure 2(c) — mixed fp×int arithmetic", cells))
-		default:
-			return fmt.Errorf("unknown figure %q", name)
-		}
-		fmt.Fprintln(out)
-		return nil
-	}
-
-	if *fig == "all" {
-		for _, f := range []string{"1", "2a", "2b", "2c"} {
-			if err := runFig(f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return runFig(*fig)
+	return nil
 }

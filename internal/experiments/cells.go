@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"smtexplore/internal/kernels"
 	"smtexplore/internal/kernels/bt"
@@ -28,6 +29,17 @@ func (o Options) StreamCell(mcfg smt.Config, specs []streams.Spec, window uint64
 // without simulating.
 func StreamCellKey(mcfg smt.Config, specs []streams.Spec, window uint64) string {
 	return runner.Key("measure-cpi", mcfg, specs, window)
+}
+
+// kernelNames are the kernels namedKernelPlan builds, in the paper's order.
+var kernelNames = []string{"mm", "lu", "cg", "bt"}
+
+// CheckKernel reports whether name is a kernel namedKernelPlan builds.
+func CheckKernel(name string) error {
+	if !slices.Contains(kernelNames, name) {
+		return fmt.Errorf("unknown kernel %q (want mm, lu, cg or bt)", name)
+	}
+	return nil
 }
 
 // namedKernelPlan resolves the canonical (kernel, size) instance into

@@ -1,7 +1,9 @@
 // Package experiments contains the reproduction harness: one entry point
 // per figure and table of the paper's evaluation, each running the
 // relevant workloads on a configured simulated machine and returning the
-// same rows/series the paper reports.
+// same rows/series the paper reports. The catalogue (catalogue.go) names
+// each figure, Table 1 and each ablation once; Render is how the CLIs,
+// smtd and the studies run one.
 //
 // Two machine configurations are used. Stream experiments (Figures 1-2)
 // run on the full-size NetBurst-like machine, since they are

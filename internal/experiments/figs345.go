@@ -2,13 +2,8 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"smtexplore/internal/kernels"
-	"smtexplore/internal/kernels/bt"
-	"smtexplore/internal/kernels/cg"
-	"smtexplore/internal/kernels/lu"
-	"smtexplore/internal/kernels/mm"
 	"smtexplore/internal/runner"
 )
 
@@ -20,114 +15,52 @@ func MMSizes() []int { return []int{32, 64, 128} }
 // LUSizes are the scaled LU dimensions.
 func LUSizes() []int { return []int{32, 64, 128} }
 
-// kernelCell is one (size, mode) point of a figure sweep. Each cell
-// rebuilds its kernel inside the worker — construction is deterministic
-// (fixed seeds, per-build cell allocators), so a rebuilt kernel emits
-// exactly the programs the serial sweep's shared builder did, and
-// concurrent cells share no mutable state.
-type kernelCell struct {
-	mode  kernels.Mode
-	label string
-	key   string
-	build func() (Builder, error)
-}
-
-// runKernelCells fans a figure's cells out and returns the metrics in
-// submission order.
-func runKernelCells(ctx context.Context, opt Options, cells []kernelCell) ([]KernelMetrics, error) {
-	mcfg := KernelMachineConfig()
-	return runner.Map(ctx, opt.Workers, cells, func(_ context.Context, c kernelCell) (KernelMetrics, error) {
-		return opt.runKernel(c.key, c.build, c.mode, mcfg, c.label)
-	})
-}
-
-// sizedKernelCells enumerates the (size, mode) grid of a Figure 3/4
-// sweep in the serial emission order.
-func sizedKernelCells(name string, sizes []int, build func(n int) (Builder, error), cfgOf func(n int) any) ([]kernelCell, error) {
-	mcfg := KernelMachineConfig()
-	var cells []kernelCell
+// kernelFigure runs the (size, mode) grid of one kernel figure: for each
+// size, every mode the canonical instance implements, in presentation
+// order. Each cell is NamedKernelCell, so a figure caches under exactly
+// KernelCellKey and shares every result with smtd and the studies. Size
+// 0 is the instance default of cg and bt.
+func kernelFigure(ctx context.Context, opt Options, kernel string, sizes []int) ([]KernelMetrics, error) {
+	type cell struct {
+		size int
+		mode kernels.Mode
+	}
+	var cells []cell
 	for _, n := range sizes {
-		probe, err := build(n)
+		modes, err := KernelModes(kernel, n)
 		if err != nil {
 			return nil, err
 		}
-		for _, mode := range probe.Modes() {
-			cells = append(cells, kernelCell{
-				mode:  mode,
-				label: fmt.Sprintf("N=%d", n),
-				key:   runner.Key("kernel", mcfg, name, cfgOf(n), mode, fmt.Sprintf("N=%d", n)),
-				build: func() (Builder, error) { return build(n) },
-			})
+		for _, mode := range modes {
+			cells = append(cells, cell{n, mode})
 		}
 	}
-	return cells, nil
+	return runner.Map(ctx, opt.Workers, cells, func(_ context.Context, c cell) (KernelMetrics, error) {
+		return NamedKernelCell(opt, kernel, c.size, c.mode)
+	})
 }
 
 // Fig3MM runs the Figure 3 sweep: five execution modes across the three
 // matrix sizes, collecting the four panels (time, L2 misses, resource
 // stalls, µops).
 func Fig3MM(ctx context.Context, opt Options, sizes []int) ([]KernelMetrics, error) {
-	cells, err := sizedKernelCells("mm", sizes,
-		func(n int) (Builder, error) { return mm.New(mm.DefaultConfig(n)) },
-		func(n int) any { return mm.DefaultConfig(n) })
-	if err != nil {
-		return nil, err
-	}
-	return runKernelCells(ctx, opt, cells)
+	return kernelFigure(ctx, opt, "mm", sizes)
 }
 
 // Fig4LU runs the Figure 4 sweep: serial, tlp-coarse and tlp-pfetch across
 // the three matrix sizes.
 func Fig4LU(ctx context.Context, opt Options, sizes []int) ([]KernelMetrics, error) {
-	cells, err := sizedKernelCells("lu", sizes,
-		func(n int) (Builder, error) { return lu.New(lu.DefaultConfig(n)) },
-		func(n int) any { return lu.DefaultConfig(n) })
-	if err != nil {
-		return nil, err
-	}
-	return runKernelCells(ctx, opt, cells)
+	return kernelFigure(ctx, opt, "lu", sizes)
 }
 
 // Fig5CG runs the CG panels of Figure 5 (single Class-A-like instance).
 func Fig5CG(ctx context.Context, opt Options) ([]KernelMetrics, error) {
-	cfg := cg.DefaultConfig()
-	probe, err := cg.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	label := fmt.Sprintf("n=%d nnz/row=%d iters=%d", cfg.N, cfg.NNZPerRow, cfg.Iters)
-	mcfg := KernelMachineConfig()
-	var cells []kernelCell
-	for _, mode := range probe.Modes() {
-		cells = append(cells, kernelCell{
-			mode:  mode,
-			label: label,
-			key:   runner.Key("kernel", mcfg, "cg", cfg, mode, label),
-			build: func() (Builder, error) { return cg.New(cfg) },
-		})
-	}
-	return runKernelCells(ctx, opt, cells)
+	return kernelFigure(ctx, opt, "cg", []int{0})
 }
 
 // Fig5BT runs the BT panels of Figure 5.
 func Fig5BT(ctx context.Context, opt Options) ([]KernelMetrics, error) {
-	cfg := bt.DefaultConfig()
-	probe, err := bt.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	label := fmt.Sprintf("G=%d steps=%d", cfg.G, cfg.Steps)
-	mcfg := KernelMachineConfig()
-	var cells []kernelCell
-	for _, mode := range probe.Modes() {
-		cells = append(cells, kernelCell{
-			mode:  mode,
-			label: label,
-			key:   runner.Key("kernel", mcfg, "bt", cfg, mode, label),
-			build: func() (Builder, error) { return bt.New(cfg) },
-		})
-	}
-	return runKernelCells(ctx, opt, cells)
+	return kernelFigure(ctx, opt, "bt", []int{0})
 }
 
 // SerialOf extracts the serial baseline with the given label from a

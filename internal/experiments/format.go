@@ -13,7 +13,7 @@ import (
 // TLP×ILP mode, in the paper's presentation order.
 func FormatFig1(rows []Fig1Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 1 — average CPI per stream under TLP×ILP modes\n")
+	fmt.Fprintln(&b, Title("fig1"))
 	fmt.Fprintf(&b, "%-10s %-8s %8s %8s\n", "stream", "ilp", "1thr", "2thr")
 	type key struct {
 		k   streams.Kind
@@ -113,7 +113,7 @@ func FormatKernelFigure(title string, ms []KernelMetrics) string {
 // block per kernel with serial/tlp/spr columns.
 func FormatTable1(cols []Table1Column) string {
 	var b strings.Builder
-	fmt.Fprintln(&b, "Table 1 — processor subunit utilisation per instrumented thread")
+	fmt.Fprintln(&b, Title("table1"))
 	byKernel := map[string][]Table1Column{}
 	var order []string
 	for _, c := range cols {

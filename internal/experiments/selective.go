@@ -7,7 +7,6 @@ import (
 	"smtexplore/internal/isa"
 	"smtexplore/internal/kernels"
 	"smtexplore/internal/kernels/lu"
-	"smtexplore/internal/perfmon"
 	"smtexplore/internal/smt"
 	"smtexplore/internal/syncprim"
 )
@@ -62,7 +61,7 @@ func SelectiveHaltLU(ctx context.Context, opt Options, n int) (SelectiveHaltResu
 		return SelectiveHaltResult{}, fmt.Errorf("experiments: selective-halt profiling pass did not complete")
 	}
 	profile := m.WaitProfile()
-	baseline := metricsFromMachine(m, "lu", kernels.TLPCoarse, fmt.Sprintf("N=%d", n))
+	baseline := collectKernelMetrics(base, kernels.TLPCoarse, fmt.Sprintf("N=%d", n), m)
 	if err := ctx.Err(); err != nil {
 		return SelectiveHaltResult{}, err
 	}
@@ -100,32 +99,9 @@ func SelectiveHaltLU(ctx context.Context, opt Options, n int) (SelectiveHaltResu
 	}, nil
 }
 
-// metricsFromMachine extracts KernelMetrics from a finished machine (for
-// runs driven outside RunKernel).
-func metricsFromMachine(m *smt.Machine, kernel string, mode kernels.Mode, label string) KernelMetrics {
-	c := m.Counters()
-	h := m.Hierarchy()
-	return KernelMetrics{
-		Kernel:              kernel,
-		Mode:                mode,
-		Label:               label,
-		Cycles:              m.Cycle(),
-		L2ReadMissesWorker:  h.Thread(kernels.WorkerTid).L2ReadMisses,
-		L2ReadMissesBoth:    h.Thread(0).L2ReadMisses + h.Thread(1).L2ReadMisses,
-		ResourceStallCycles: c.Total(perfmon.ResourceStallCycles),
-		UopsRetired:         c.Total(perfmon.UopsRetired),
-		SpinUops:            c.Total(perfmon.SpinUopsRetired),
-		MachineClears:       c.Total(perfmon.MachineClears),
-		HaltTransitions:     c.Total(perfmon.HaltTransitions),
-		PipelineFlushes:     c.Total(perfmon.PipelineFlushes),
-		WorkerInstr:         c.Get(perfmon.InstrRetired, kernels.WorkerTid),
-		HelperInstr:         c.Get(perfmon.InstrRetired, kernels.HelperTid),
-	}
-}
-
 // FormatSelectiveHalt renders the study.
 func FormatSelectiveHalt(r SelectiveHaltResult) string {
-	out := fmt.Sprintf("Selective halting (§3.1) on LU tlp-coarse, threshold %d wait cycles\n", r.Threshold)
+	out := fmt.Sprintf("%s, threshold %d wait cycles\n", Title("selective"), r.Threshold)
 	out += fmt.Sprintf("%-28s %12s %12s %10s %10s\n", "pass", "cycles", "spin-uops", "halts", "waits")
 	out += fmt.Sprintf("%-28s %12d %12d %10d %10d\n", "all spin+pause (profiling)",
 		r.Baseline.Cycles, r.Baseline.SpinUops, r.Baseline.HaltTransitions, len(r.WaitProfile))

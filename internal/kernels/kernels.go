@@ -56,6 +56,19 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
+// ParseMode inverts Mode.String; empty means serial.
+func ParseMode(name string) (Mode, error) {
+	if name == "" {
+		return Serial, nil
+	}
+	for i, n := range modeNames {
+		if n == name {
+			return Mode(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", name)
+}
+
 // Valid reports whether m is a defined mode.
 func (m Mode) Valid() bool { return m < numModes }
 

@@ -63,3 +63,20 @@ func TestTidRoles(t *testing.T) {
 		t.Error("paper binding: worker on logical CPU 0, helper on 1")
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	want := map[string]Mode{"": Serial}
+	for _, m := range AllModes() {
+		want[m.String()] = m
+	}
+	for name, m := range want {
+		if got, err := ParseMode(name); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, m)
+		}
+	}
+	for _, bad := range []string{"warp", "Serial", "tlp"} {
+		if _, err := ParseMode(bad); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+			t.Errorf("ParseMode(%q) = %v, want an unknown-mode error", bad, err)
+		}
+	}
+}

@@ -61,9 +61,8 @@ type CellSpec struct {
 	// mm/lu (required), N for cg and G for bt (0 = instance default).
 	Size int `json:"size,omitempty"`
 
-	// Harness (harness cells) names a figure or study: "fig1", "fig2a",
-	// "fig2b", "fig2c", "fig3", "fig4", "fig5cg", "fig5bt", "table1",
-	// "sync", "span", "partition" or "selective".
+	// Harness (harness cells) names a result of the experiments
+	// catalogue ("fig1", "fig3", "table1", "sync", …).
 	Harness string `json:"harness,omitempty"`
 	// Sizes (harness cells) overrides the mm/lu sweep sizes of "fig3"
 	// and "fig4".
@@ -113,52 +112,15 @@ type CellResult struct {
 	Artifacts []string `json:"artifacts,omitempty"`
 }
 
-// parseKind resolves a stream-kind name.
-func parseKind(name string) (streams.Kind, error) {
-	for _, k := range streams.All() {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown stream kind %q", name)
-}
-
-// parseILP resolves an ILP-degree name; empty means max, as in the
-// paper's headline configuration.
-func parseILP(name string) (streams.ILP, error) {
-	switch strings.TrimSuffix(name, "ILP") {
-	case "", "max", "6":
-		return streams.MaxILP, nil
-	case "med", "3":
-		return streams.MedILP, nil
-	case "min", "1":
-		return streams.MinILP, nil
-	}
-	return 0, fmt.Errorf("unknown ILP degree %q (want min, med or max)", name)
-}
-
-// parseMode resolves an execution-mode name; empty means serial.
-func parseMode(name string) (kernels.Mode, error) {
-	if name == "" {
-		return kernels.Serial, nil
-	}
-	for _, m := range kernels.AllModes() {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mode %q", name)
-}
-
 // streamSpecs resolves the cell's stream list into harness specs.
 func (c CellSpec) streamSpecs() ([]streams.Spec, error) {
 	out := make([]streams.Spec, len(c.Streams))
 	for i, s := range c.Streams {
-		kind, err := parseKind(s.Kind)
+		kind, err := streams.ParseKind(s.Kind)
 		if err != nil {
 			return nil, err
 		}
-		ilp, err := parseILP(s.ILP)
+		ilp, err := streams.ParseILP(s.ILP)
 		if err != nil {
 			return nil, err
 		}
@@ -190,17 +152,15 @@ func (c CellSpec) Validate(allowObserve bool) error {
 			return err
 		}
 	case TypeKernel:
-		switch c.Kernel {
-		case "mm", "lu", "cg", "bt":
-		default:
-			return fmt.Errorf("unknown kernel %q (want mm, lu, cg or bt)", c.Kernel)
+		if err := experiments.CheckKernel(c.Kernel); err != nil {
+			return err
 		}
-		if _, err := parseMode(c.Mode); err != nil {
+		if _, err := kernels.ParseMode(c.Mode); err != nil {
 			return err
 		}
 	case TypeHarness:
-		if _, ok := harnesses[c.Harness]; !ok {
-			return fmt.Errorf("unknown harness %q", c.Harness)
+		if err := experiments.CheckHarness(c.Harness); err != nil {
+			return err
 		}
 		if c.Observe {
 			return fmt.Errorf("observe is only supported for stream and kernel cells")
@@ -220,7 +180,7 @@ func (c CellSpec) Label() string {
 	case TypeStream:
 		parts := make([]string, len(c.Streams))
 		for i, s := range c.Streams {
-			ilp, err := parseILP(s.ILP)
+			ilp, err := streams.ParseILP(s.ILP)
 			if err != nil {
 				parts[i] = s.Kind + "-?"
 				continue

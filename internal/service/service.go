@@ -635,12 +635,12 @@ func (s *Service) runJob(j *Job) {
 
 	state, msg := JobDone, ""
 	var failed, cancelled int
-	for _, r := range results {
+	for i, r := range results {
 		switch r.State {
 		case CellFailed:
 			failed++
 			if msg == "" {
-				msg = fmt.Sprintf("cell %d (%s): %s", r.Index, r.Label, r.Error)
+				msg = fmt.Sprintf("cell %d (%s): %s", i, r.Label, r.Error)
 			}
 		case CellCancelled:
 			cancelled++

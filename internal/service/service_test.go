@@ -160,6 +160,24 @@ func TestRuntimeCellFailure(t *testing.T) {
 	}
 }
 
+// The job error names the failing cell by its position in the batch,
+// not by the zero Index of a result that never passed through setCell.
+func TestJobErrorNamesFailingCell(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	good := CellSpec{Type: TypeStream, Window: 2000, Streams: []StreamSpec{{Kind: "fadd"}}}
+	bad := CellSpec{Type: TypeStream, Window: 2000,
+		Streams: []StreamSpec{{Kind: "fadd"}, {Kind: "fadd"}, {Kind: "fadd"}}}
+	j, err := s.Submit([]CellSpec{good, bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if state, msg := j.State(); state != JobFailed || !strings.HasPrefix(msg, "cell 1 (") {
+		t.Errorf("job = %s %q, want failed with an error starting %q", state, msg, "cell 1 (")
+	}
+}
+
 // A second submission against the same disk store, from a cold process
 // (fresh cache), must be served entirely from the store: identical
 // results and zero simulated cells.

@@ -16,6 +16,7 @@ package streams
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"smtexplore/internal/isa"
@@ -58,6 +59,16 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
+}
+
+// ParseKind inverts Kind.String.
+func ParseKind(name string) (Kind, error) {
+	for i, n := range kindNames {
+		if n == name {
+			return Kind(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown stream kind %q", name)
 }
 
 // Valid reports whether k is a defined stream kind.
@@ -119,6 +130,21 @@ func (p ILP) String() string {
 		return "maxILP"
 	}
 	return fmt.Sprintf("ilp(%d)", int(p))
+}
+
+// ParseILP inverts ILP.String. It also takes the short names ("min",
+// "med", "max") and the register counts ("1", "3", "6"); empty means
+// max, the paper's headline configuration.
+func ParseILP(name string) (ILP, error) {
+	switch strings.TrimSuffix(name, "ILP") {
+	case "", "max", "6":
+		return MaxILP, nil
+	case "med", "3":
+		return MedILP, nil
+	case "min", "1":
+		return MinILP, nil
+	}
+	return 0, fmt.Errorf("unknown ILP degree %q (want min, med or max)", name)
 }
 
 // Spec describes one stream instance.

@@ -1,6 +1,7 @@
 package streams
 
 import (
+	"strings"
 	"testing"
 
 	"smtexplore/internal/isa"
@@ -173,6 +174,36 @@ func TestAllStreamsValidateAgainstISA(t *testing.T) {
 					t.Fatalf("%v/%v: %v", k, ilp, err)
 				}
 			}
+		}
+	}
+}
+
+func TestParseKind(t *testing.T) {
+	for _, k := range All() {
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, bad := range []string{"", "warp", "FADD", "fadd-"} {
+		if _, err := ParseKind(bad); err == nil || !strings.Contains(err.Error(), "unknown stream kind") {
+			t.Errorf("ParseKind(%q) = %v, want an unknown-stream-kind error", bad, err)
+		}
+	}
+}
+
+func TestParseILP(t *testing.T) {
+	for name, want := range map[string]ILP{
+		"": MaxILP, "max": MaxILP, "6": MaxILP, "maxILP": MaxILP,
+		"med": MedILP, "3": MedILP, "medILP": MedILP,
+		"min": MinILP, "1": MinILP, "minILP": MinILP,
+	} {
+		if got, err := ParseILP(name); err != nil || got != want {
+			t.Errorf("ParseILP(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"huge", "2", "ILPmax"} {
+		if _, err := ParseILP(bad); err == nil || !strings.Contains(err.Error(), "unknown ILP degree") {
+			t.Errorf("ParseILP(%q) = %v, want an unknown-ILP error", bad, err)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"smtexplore/internal/experiments"
+	"smtexplore/internal/kernels"
 	"smtexplore/internal/service"
 	"smtexplore/internal/streams"
 	"smtexplore/internal/study/spec"
@@ -93,8 +94,8 @@ func (b *builder) add(dedupe string, node CellNode) int {
 }
 
 // Compile lowers the spec. The spec must already be valid (Parse
-// validates); compile re-checks only what it alone can know — harness
-// names against the service registry and kernel mode support.
+// validates); compile re-checks only what it alone can know — kernel
+// mode support.
 func Compile(s *spec.Spec) (*Plan, error) {
 	b := &builder{plan: &Plan{Spec: s}, index: map[string]int{}}
 	for _, sw := range s.Sweeps {
@@ -145,11 +146,11 @@ func streamCell(b *builder, sw spec.Sweep, pairs [][2]string) (int, error) {
 	specs := make([]streams.Spec, len(pairs))
 	cellStreams := make([]service.StreamSpec, len(pairs))
 	for i, p := range pairs {
-		kind, err := spec.ParseKind(p[0])
+		kind, err := streams.ParseKind(p[0])
 		if err != nil {
 			return 0, err
 		}
-		ilp, err := spec.ParseILP(p[1])
+		ilp, err := streams.ParseILP(p[1])
 		if err != nil {
 			return 0, err
 		}
@@ -171,7 +172,7 @@ func compileFig1(b *builder, sw spec.Sweep) (TableNode, error) {
 	t := TableNode{Sweep: sw, Cells: map[string]int{}}
 	for _, k := range sw.Streams {
 		for _, ilpName := range sw.EffectiveILP() {
-			ilp, err := spec.ParseILP(ilpName)
+			ilp, err := streams.ParseILP(ilpName)
 			if err != nil {
 				return t, err
 			}
@@ -210,7 +211,7 @@ func compileFig2(b *builder, sw spec.Sweep) (TableNode, error) {
 		}
 	}
 	for _, ilpName := range sw.EffectiveILP() {
-		ilp, err := spec.ParseILP(ilpName)
+		ilp, err := streams.ParseILP(ilpName)
 		if err != nil {
 			return t, err
 		}
@@ -223,7 +224,7 @@ func compileFig2(b *builder, sw spec.Sweep) (TableNode, error) {
 		}
 	}
 	for _, ilpName := range sw.EffectiveILP() {
-		ilp, err := spec.ParseILP(ilpName)
+		ilp, err := streams.ParseILP(ilpName)
 		if err != nil {
 			return t, err
 		}
@@ -263,7 +264,7 @@ func compileKernel(b *builder, sw spec.Sweep) (TableNode, error) {
 			}
 		}
 		for _, modeName := range modeNames {
-			mode, err := spec.ParseMode(modeName)
+			mode, err := kernels.ParseMode(modeName)
 			if err != nil {
 				return t, err
 			}
@@ -285,18 +286,11 @@ func compileKernel(b *builder, sw spec.Sweep) (TableNode, error) {
 	return t, nil
 }
 
-// compileText compiles whole-harness cells, validated against the
-// service's harness registry.
+// compileText compiles whole-harness cells (spec validated the names
+// against the experiments catalogue).
 func compileText(b *builder, sw spec.Sweep) (TableNode, error) {
 	t := TableNode{Sweep: sw, Cells: map[string]int{}}
-	valid := map[string]bool{}
-	for _, n := range service.HarnessNames() {
-		valid[n] = true
-	}
 	for _, h := range sw.Harnesses {
-		if !valid[h] {
-			return t, fmt.Errorf("unknown harness %q", h)
-		}
 		idx := b.add("harness|"+h, CellNode{
 			Spec: service.CellSpec{Type: service.TypeHarness, Harness: h},
 			Cost: cost(sw, DefaultHarnessCost),

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"smtexplore/internal/experiments"
 	"smtexplore/internal/kernels"
 	"smtexplore/internal/streams"
 )
@@ -225,44 +226,6 @@ func slugOK(name string) bool {
 	return true
 }
 
-// ParseKind resolves a stream-kind name as the service does.
-func ParseKind(name string) (streams.Kind, error) {
-	for _, k := range streams.All() {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown stream kind %q", name)
-}
-
-// ParseILP resolves an ILP-degree name ("min"/"med"/"max", the digit
-// forms and the "minILP" long forms; empty means max, as in the paper's
-// headline configuration).
-func ParseILP(name string) (streams.ILP, error) {
-	switch strings.TrimSuffix(name, "ILP") {
-	case "", "max", "6":
-		return streams.MaxILP, nil
-	case "med", "3":
-		return streams.MedILP, nil
-	case "min", "1":
-		return streams.MinILP, nil
-	}
-	return 0, fmt.Errorf("unknown ILP degree %q (want min, med or max)", name)
-}
-
-// ParseMode resolves an execution-mode name; empty means serial.
-func ParseMode(name string) (kernels.Mode, error) {
-	if name == "" {
-		return kernels.Serial, nil
-	}
-	for _, m := range kernels.AllModes() {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mode %q", name)
-}
-
 // ILPName is the canonical short spelling compile and synth agree on.
 func ILPName(ilp streams.ILP) string {
 	switch ilp {
@@ -317,8 +280,8 @@ func (sw Sweep) EffectivePartners() []string {
 
 // Validate checks everything knowable without running: slugs, kind and
 // table names, stream/ILP/kernel/mode spellings, thread counts and the
-// deadline duration. Harness names are validated by the compile step
-// (which owns the service dependency).
+// deadline duration. Harness names are checked against the experiments
+// catalogue.
 func (s *Spec) Validate() error {
 	if !slugOK(s.Name) {
 		return fmt.Errorf("spec: name %q must be a non-empty lowercase slug (a-z, 0-9, -, _)", s.Name)
@@ -358,17 +321,17 @@ func (sw Sweep) validate() error {
 			return fmt.Errorf("at least one stream is required")
 		}
 		for _, name := range sw.Streams {
-			if _, err := ParseKind(name); err != nil {
+			if _, err := streams.ParseKind(name); err != nil {
 				return err
 			}
 		}
 		for _, name := range sw.Partners {
-			if _, err := ParseKind(name); err != nil {
+			if _, err := streams.ParseKind(name); err != nil {
 				return err
 			}
 		}
 		for _, name := range sw.ILP {
-			if _, err := ParseILP(name); err != nil {
+			if _, err := streams.ParseILP(name); err != nil {
 				return err
 			}
 		}
@@ -388,13 +351,11 @@ func (sw Sweep) validate() error {
 			return fmt.Errorf("kernel sweeps take exactly one kernel (the vs-serial baseline is per-kernel); split into one sweep per kernel")
 		}
 		k := sw.Kernels[0]
-		switch k {
-		case "mm", "lu", "cg", "bt":
-		default:
-			return fmt.Errorf("unknown kernel %q (want mm, lu, cg or bt)", k)
+		if err := experiments.CheckKernel(k); err != nil {
+			return err
 		}
 		for _, name := range sw.Modes {
-			if _, err := ParseMode(name); err != nil {
+			if _, err := kernels.ParseMode(name); err != nil {
 				return err
 			}
 		}
@@ -416,6 +377,11 @@ func (sw Sweep) validate() error {
 		}
 		if len(sw.Harnesses) == 0 {
 			return fmt.Errorf("at least one harness name is required")
+		}
+		for _, h := range sw.Harnesses {
+			if err := experiments.CheckHarness(h); err != nil {
+				return err
+			}
 		}
 	default:
 		return fmt.Errorf("unknown kind %q (want stream, kernel or harness)", sw.Kind)

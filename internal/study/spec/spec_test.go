@@ -3,6 +3,8 @@ package spec
 import (
 	"strings"
 	"testing"
+
+	"smtexplore/internal/streams"
 )
 
 const validJSON = `{
@@ -66,6 +68,8 @@ func TestParseRejects(t *testing.T) {
 		"fig1 partners":    `{"name":"x","sweeps":[{"name":"a","kind":"stream","streams":["fadd"],"partners":["fmul"]}]}`,
 		"two kernels":      `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm","lu"],"sizes":[32]}]}`,
 		"mm no sizes":      `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm"]}]}`,
+		"unknown harness":  `{"name":"x","sweeps":[{"name":"a","kind":"harness","harnesses":["nope"]}]}`,
+		"unknown kernel":   `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["fft"],"sizes":[32]}]}`,
 		"bad mode":         `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["cg"],"modes":["warp-speed"]}]}`,
 		"bad deadline":     `{"name":"x","deadline":"soon","sweeps":[{"name":"a","kind":"harness","harnesses":["fig1"]}]}`,
 		"unknown field":    `{"name":"x","cycles":5,"sweeps":[{"name":"a","kind":"harness","harnesses":["fig1"]}]}`,
@@ -80,11 +84,11 @@ func TestParseRejects(t *testing.T) {
 
 func TestILPRoundTrip(t *testing.T) {
 	for _, name := range []string{"min", "med", "max", "1", "3", "6", "minILP", ""} {
-		ilp, err := ParseILP(name)
+		ilp, err := streams.ParseILP(name)
 		if err != nil {
 			t.Fatalf("ParseILP(%q): %v", name, err)
 		}
-		back, err := ParseILP(ILPName(ilp))
+		back, err := streams.ParseILP(ILPName(ilp))
 		if err != nil || back != ilp {
 			t.Errorf("ILPName(%v)=%q does not round-trip (%v, %v)", ilp, ILPName(ilp), back, err)
 		}

@@ -12,8 +12,10 @@ import (
 	"strings"
 
 	"smtexplore/internal/experiments"
+	"smtexplore/internal/kernels"
 	"smtexplore/internal/report"
 	"smtexplore/internal/service"
+	"smtexplore/internal/streams"
 	"smtexplore/internal/study/budget"
 	"smtexplore/internal/study/compile"
 	"smtexplore/internal/study/execute"
@@ -76,12 +78,12 @@ func fig1Rows(t compile.TableNode, results []service.CellResult) ([]experiments.
 	sw := t.Sweep
 	var rows []experiments.Fig1Row
 	for _, k := range sw.Streams {
-		kind, err := spec.ParseKind(k)
+		kind, err := streams.ParseKind(k)
 		if err != nil {
 			return nil, err
 		}
 		for _, ilpName := range sw.EffectiveILP() {
-			ilp, err := spec.ParseILP(ilpName)
+			ilp, err := streams.ParseILP(ilpName)
 			if err != nil {
 				return nil, err
 			}
@@ -116,18 +118,18 @@ func fig2Cells(t compile.TableNode, results []service.CellResult) ([]experiments
 	sw := t.Sweep
 	var cells []experiments.Fig2Cell
 	for _, ilpName := range sw.EffectiveILP() {
-		ilp, err := spec.ParseILP(ilpName)
+		ilp, err := streams.ParseILP(ilpName)
 		if err != nil {
 			return nil, err
 		}
 		short := spec.ILPName(ilp)
 		for _, s := range sw.Streams {
-			subj, err := spec.ParseKind(s)
+			subj, err := streams.ParseKind(s)
 			if err != nil {
 				return nil, err
 			}
 			for _, p := range sw.EffectivePartners() {
-				part, err := spec.ParseKind(p)
+				part, err := streams.ParseKind(p)
 				if err != nil {
 					return nil, err
 				}
@@ -184,7 +186,7 @@ func kernelMetrics(t compile.TableNode, results []service.CellResult) ([]experim
 			}
 		}
 		for _, modeName := range modeNames {
-			mode, err := spec.ParseMode(modeName)
+			mode, err := kernels.ParseMode(modeName)
 			if err != nil {
 				return nil, err
 			}
