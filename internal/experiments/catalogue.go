@@ -121,12 +121,9 @@ func fig2(name, title string, panel func(context.Context, Options, smt.Config) (
 // figure (CG, BT) that runs the kernel's default instance.
 func kernelFig(name, title, kernel string, sizes []int) experiment {
 	return experiment{name: name, title: title, run: func(ctx context.Context, opt Options, p Params) (string, error) {
-		ns := []int{0}
-		if sizes != nil {
-			ns = sizes
-			if p.Sizes != nil {
-				ns = p.Sizes
-			}
+		ns := sizes
+		if sizes != nil && p.Sizes != nil {
+			ns = p.Sizes
 		}
 		ms, err := kernelFigure(ctx, opt, kernel, ns)
 		if err != nil {

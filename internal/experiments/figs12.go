@@ -77,36 +77,22 @@ func measureCPIWith(mcfg smt.Config, specs []streams.Spec, window uint64, ins *o
 // Cells fan out over opt.Workers simulations; rows come back in the
 // paper's presentation order regardless of completion order.
 func Fig1(ctx context.Context, opt Options, mcfg smt.Config, kinds []streams.Kind) ([]Fig1Row, error) {
-	type cell struct {
-		kind    streams.Kind
-		ilp     streams.ILP
-		threads int
-	}
-	var cells []cell
-	for _, k := range kinds {
-		for _, ilp := range streams.Levels() {
-			cells = append(cells, cell{k, ilp, 1}, cell{k, ilp, 2})
-		}
-	}
-	return runner.Map(ctx, opt.Workers, cells, func(_ context.Context, c cell) (Fig1Row, error) {
-		specs := make([]streams.Spec, c.threads)
-		for i := range specs {
-			specs[i] = streams.Spec{Kind: c.kind, ILP: c.ilp}
-		}
+	grid := Fig1Grid(kinds, streams.Levels(), []int{1, 2})
+	cpi, err := runner.Map(ctx, opt.Workers, grid, func(_ context.Context, specs []streams.Spec) ([]float64, error) {
 		cpi, err := opt.measureCPI(mcfg, specs, StreamWindowCycles)
 		if err != nil {
 			word := "solo"
-			if c.threads == 2 {
+			if len(specs) == 2 {
 				word = "duo"
 			}
-			return Fig1Row{}, fmt.Errorf("fig1 %v/%v %s: %w", c.kind, c.ilp, word, err)
+			return nil, fmt.Errorf("fig1 %v/%v %s: %w", specs[0].Kind, specs[0].ILP, word, err)
 		}
-		avg := cpi[0]
-		if c.threads == 2 {
-			avg = (cpi[0] + cpi[1]) / 2
-		}
-		return Fig1Row{Stream: c.kind, ILP: c.ilp, Threads: c.threads, CPI: avg}, nil
+		return cpi, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return Fig1Rows(grid, cpi), nil
 }
 
 // Fig2Cell is one point of Figure 2: the slowdown factor of Subject when
@@ -123,78 +109,29 @@ type Fig2Cell struct {
 
 // Fig2 measures the pairwise co-execution matrix over the given subject
 // and partner stream sets (Figure 2a: FP×FP; 2b: int×int; 2c: int×fp
-// arithmetic). Solo baselines fan out first (one per kind×ILP — they
-// are also the divisors of every matrix cell), then the pairwise duos.
-// Duo cells are keyed on the *ordered* pair: the simulated core is not
-// exactly symmetric in its hardware-context index, so (a,b) and (b,a)
-// are distinct simulations, exactly as in the serial sweep.
+// arithmetic) on the NewFig2Grid cells: the solo baselines fan out
+// first, then the pairwise duos.
 func Fig2(ctx context.Context, opt Options, mcfg smt.Config, subjects, partners []streams.Kind) ([]Fig2Cell, error) {
-	type soloCell struct {
-		kind streams.Kind
-		ilp  streams.ILP
-	}
-	var soloCells []soloCell
-	for _, ilp := range streams.Levels() {
-		for _, k := range allKindsUnion(subjects, partners) {
-			soloCells = append(soloCells, soloCell{k, ilp})
+	g := NewFig2Grid(subjects, partners, streams.Levels())
+	measure := func(_ context.Context, specs []streams.Spec) ([]float64, error) {
+		cpi, err := opt.measureCPI(mcfg, specs, StreamWindowCycles)
+		switch {
+		case err != nil && len(specs) == 1:
+			return nil, fmt.Errorf("fig2 solo %v/%v: %w", specs[0].Kind, specs[0].ILP, err)
+		case err != nil:
+			return nil, fmt.Errorf("fig2 %v+%v/%v: %w", specs[0].Kind, specs[1].Kind, specs[0].ILP, err)
 		}
+		return cpi, nil
 	}
-	soloCPI, err := runner.Map(ctx, opt.Workers, soloCells, func(_ context.Context, c soloCell) (float64, error) {
-		cpi, err := opt.measureCPI(mcfg, []streams.Spec{{Kind: c.kind, ILP: c.ilp}}, StreamWindowCycles)
-		if err != nil {
-			return 0, fmt.Errorf("fig2 solo %v/%v: %w", c.kind, c.ilp, err)
-		}
-		return cpi[0], nil
-	})
+	solos, err := runner.Map(ctx, opt.Workers, g.Cells[:g.Solos], measure)
 	if err != nil {
 		return nil, err
 	}
-	solo := map[[2]int]float64{}
-	for i, c := range soloCells {
-		solo[[2]int{int(c.kind), int(c.ilp)}] = soloCPI[i]
+	duos, err := runner.Map(ctx, opt.Workers, g.Cells[g.Solos:], measure)
+	if err != nil {
+		return nil, err
 	}
-
-	type duoCell struct {
-		subj, part streams.Kind
-		ilp        streams.ILP
-	}
-	var duoCells []duoCell
-	for _, ilp := range streams.Levels() {
-		for _, subj := range subjects {
-			for _, part := range partners {
-				duoCells = append(duoCells, duoCell{subj, part, ilp})
-			}
-		}
-	}
-	return runner.Map(ctx, opt.Workers, duoCells, func(_ context.Context, c duoCell) (Fig2Cell, error) {
-		duo, err := opt.measureCPI(mcfg, []streams.Spec{
-			{Kind: c.subj, ILP: c.ilp}, {Kind: c.part, ILP: c.ilp},
-		}, StreamWindowCycles)
-		if err != nil {
-			return Fig2Cell{}, fmt.Errorf("fig2 %v+%v/%v: %w", c.subj, c.part, c.ilp, err)
-		}
-		s := solo[[2]int{int(c.subj), int(c.ilp)}]
-		return Fig2Cell{
-			Subject:  c.subj,
-			Partner:  c.part,
-			ILP:      c.ilp,
-			SoloCPI:  s,
-			CoCPI:    duo[0],
-			Slowdown: duo[0]/s - 1,
-		}, nil
-	})
-}
-
-func allKindsUnion(a, b []streams.Kind) []streams.Kind {
-	seen := map[streams.Kind]bool{}
-	var out []streams.Kind
-	for _, k := range append(append([]streams.Kind{}, a...), b...) {
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	return out
+	return g.Matrix(append(solos, duos...)), nil
 }
 
 // Fig2a/Fig2b/Fig2c run the three panels of Figure 2.

@@ -15,28 +15,17 @@ func MMSizes() []int { return []int{32, 64, 128} }
 // LUSizes are the scaled LU dimensions.
 func LUSizes() []int { return []int{32, 64, 128} }
 
-// kernelFigure runs the (size, mode) grid of one kernel figure: for each
-// size, every mode the canonical instance implements, in presentation
-// order. Each cell is NamedKernelCell, so a figure caches under exactly
-// KernelCellKey and shares every result with smtd and the studies. Size
-// 0 is the instance default of cg and bt.
+// kernelFigure runs the KernelGrid of one kernel figure over every mode
+// the canonical instance implements. Each cell is NamedKernelCell, so a
+// figure caches under exactly KernelCellKey and shares every result with
+// smtd and the studies.
 func kernelFigure(ctx context.Context, opt Options, kernel string, sizes []int) ([]KernelMetrics, error) {
-	type cell struct {
-		size int
-		mode kernels.Mode
+	grid, err := KernelGrid(kernel, sizes, nil)
+	if err != nil {
+		return nil, err
 	}
-	var cells []cell
-	for _, n := range sizes {
-		modes, err := KernelModes(kernel, n)
-		if err != nil {
-			return nil, err
-		}
-		for _, mode := range modes {
-			cells = append(cells, cell{n, mode})
-		}
-	}
-	return runner.Map(ctx, opt.Workers, cells, func(_ context.Context, c cell) (KernelMetrics, error) {
-		return NamedKernelCell(opt, kernel, c.size, c.mode)
+	return runner.Map(ctx, opt.Workers, grid, func(_ context.Context, p KernelPoint) (KernelMetrics, error) {
+		return NamedKernelCell(opt, kernel, p.Size, p.Mode)
 	})
 }
 
@@ -55,12 +44,12 @@ func Fig4LU(ctx context.Context, opt Options, sizes []int) ([]KernelMetrics, err
 
 // Fig5CG runs the CG panels of Figure 5 (single Class-A-like instance).
 func Fig5CG(ctx context.Context, opt Options) ([]KernelMetrics, error) {
-	return kernelFigure(ctx, opt, "cg", []int{0})
+	return kernelFigure(ctx, opt, "cg", nil)
 }
 
 // Fig5BT runs the BT panels of Figure 5.
 func Fig5BT(ctx context.Context, opt Options) ([]KernelMetrics, error) {
-	return kernelFigure(ctx, opt, "bt", []int{0})
+	return kernelFigure(ctx, opt, "bt", nil)
 }
 
 // SerialOf extracts the serial baseline with the given label from a

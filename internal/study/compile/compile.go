@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"smtexplore/internal/experiments"
-	"smtexplore/internal/kernels"
 	"smtexplore/internal/service"
 	"smtexplore/internal/streams"
 	"smtexplore/internal/study/spec"
@@ -46,12 +45,13 @@ type CellNode struct {
 	Cost uint64
 }
 
-// TableNode maps one sweep's table roles onto plan cell indices. Roles
-// are synthesis-internal names ("fadd|min|2", "solo|iadd|max",
-// "64|tlp-fine", "text|fig1") the synth package reconstructs rows from.
+// TableNode lists the plan cell indices of one sweep's table in the
+// order of its experiments grid (Fig1Grid, Fig2Grid.Cells, KernelGrid,
+// or the sweep's harness list), which is the order synth fills the
+// grid's rows in.
 type TableNode struct {
 	Sweep spec.Sweep
-	Cells map[string]int
+	Cells []int
 }
 
 // Plan is the compiled study: the deduplicated cell list in submission
@@ -103,15 +103,16 @@ func Compile(s *spec.Spec) (*Plan, error) {
 			table TableNode
 			err   error
 		)
+		a := sw.Axes()
 		switch sw.EffectiveTable() {
 		case spec.TableFig1:
-			table, err = compileFig1(b, sw)
+			table = streamCells(b, sw, experiments.Fig1Grid(a.Streams, a.ILP, a.Threads))
 		case spec.TableFig2:
-			table, err = compileFig2(b, sw)
+			table = streamCells(b, sw, experiments.NewFig2Grid(a.Streams, a.Partners, a.ILP).Cells)
 		case spec.TableKernel:
-			table, err = compileKernel(b, sw)
+			table, err = compileKernel(b, sw, a)
 		case spec.TableText:
-			table, err = compileText(b, sw)
+			table = compileText(b, sw)
 		default:
 			err = fmt.Errorf("unknown table style %q", sw.EffectiveTable())
 		}
@@ -139,163 +140,61 @@ func cost(sw spec.Sweep, def uint64) uint64 {
 	return def
 }
 
-// streamCell compiles one stream cell (n co-executed copies of the
-// given kind×ILP pairs) and returns its plan index.
-func streamCell(b *builder, sw spec.Sweep, pairs [][2]string) (int, error) {
+// streamCells compiles a stream grid's cells into the table, in grid
+// order.
+func streamCells(b *builder, sw spec.Sweep, grid [][]streams.Spec) TableNode {
+	t := TableNode{Sweep: sw}
 	w := window(sw)
-	specs := make([]streams.Spec, len(pairs))
-	cellStreams := make([]service.StreamSpec, len(pairs))
-	for i, p := range pairs {
-		kind, err := streams.ParseKind(p[0])
-		if err != nil {
-			return 0, err
+	for _, specs := range grid {
+		cellStreams := make([]service.StreamSpec, len(specs))
+		for i, sp := range specs {
+			cellStreams[i] = service.StreamSpec{Kind: sp.Kind.String(), ILP: spec.ILPName(sp.ILP)}
 		}
-		ilp, err := streams.ParseILP(p[1])
-		if err != nil {
-			return 0, err
-		}
-		specs[i] = streams.Spec{Kind: kind, ILP: ilp}
-		cellStreams[i] = service.StreamSpec{Kind: kind.String(), ILP: spec.ILPName(ilp)}
+		key := experiments.StreamCellKey(experiments.StreamMachineConfig(), specs, w)
+		t.Cells = append(t.Cells, b.add(key, CellNode{
+			Key:  key,
+			Spec: service.CellSpec{Type: service.TypeStream, Streams: cellStreams, Window: w},
+			Cost: cost(sw, w),
+		}))
 	}
-	key := experiments.StreamCellKey(experiments.StreamMachineConfig(), specs, w)
-	return b.add(key, CellNode{
-		Key:  key,
-		Spec: service.CellSpec{Type: service.TypeStream, Streams: cellStreams, Window: w},
-		Cost: cost(sw, w),
-	}), nil
+	return t
 }
 
-// compileFig1 compiles the solo/duo CPI grid: streams × ILP × threads,
-// in spec order (the committed paper specs list the paper's order, so
-// synthesis is byte-identical to the Figure 1 harness).
-func compileFig1(b *builder, sw spec.Sweep) (TableNode, error) {
-	t := TableNode{Sweep: sw, Cells: map[string]int{}}
-	for _, k := range sw.Streams {
-		for _, ilpName := range sw.EffectiveILP() {
-			ilp, err := streams.ParseILP(ilpName)
-			if err != nil {
-				return t, err
-			}
-			for _, n := range sw.EffectiveThreads() {
-				pairs := make([][2]string, n)
-				for i := range pairs {
-					pairs[i] = [2]string{k, ilpName}
-				}
-				idx, err := streamCell(b, sw, pairs)
-				if err != nil {
-					return t, err
-				}
-				t.Cells[fmt.Sprintf("%s|%s|%d", k, spec.ILPName(ilp), n)] = idx
-			}
-		}
-	}
-	return t, nil
-}
-
-// compileFig2 compiles the pairwise slowdown matrix: solo baselines
-// first (one per kind×ILP over the subject∪partner union), then the
-// ordered duos — the same enumeration order as experiments.Fig2.
-func compileFig2(b *builder, sw spec.Sweep) (TableNode, error) {
-	t := TableNode{Sweep: sw, Cells: map[string]int{}}
-	subjects := sw.Streams
-	partners := sw.EffectivePartners()
-	union := subjects
-	seen := map[string]bool{}
-	for _, k := range subjects {
-		seen[k] = true
-	}
-	for _, k := range partners {
-		if !seen[k] {
-			seen[k] = true
-			union = append(append([]string{}, union...), k)
-		}
-	}
-	for _, ilpName := range sw.EffectiveILP() {
-		ilp, err := streams.ParseILP(ilpName)
-		if err != nil {
-			return t, err
-		}
-		for _, k := range union {
-			idx, err := streamCell(b, sw, [][2]string{{k, ilpName}})
-			if err != nil {
-				return t, err
-			}
-			t.Cells[fmt.Sprintf("solo|%s|%s", k, spec.ILPName(ilp))] = idx
-		}
-	}
-	for _, ilpName := range sw.EffectiveILP() {
-		ilp, err := streams.ParseILP(ilpName)
-		if err != nil {
-			return t, err
-		}
-		for _, s := range subjects {
-			for _, p := range partners {
-				idx, err := streamCell(b, sw, [][2]string{{s, ilpName}, {p, ilpName}})
-				if err != nil {
-					return t, err
-				}
-				t.Cells[fmt.Sprintf("duo|%s|%s|%s", s, p, spec.ILPName(ilp))] = idx
-			}
-		}
-	}
-	return t, nil
-}
-
-// compileKernel compiles one kernel's size×mode grid in the figure
-// sweeps' enumeration order (sizes outer, the kernel's own mode order
-// inner when the spec does not pin modes).
-func compileKernel(b *builder, sw spec.Sweep) (TableNode, error) {
-	t := TableNode{Sweep: sw, Cells: map[string]int{}}
+// compileKernel compiles one kernel's KernelGrid (sizes outer, the
+// kernel's own mode order inner when the spec does not pin modes).
+func compileKernel(b *builder, sw spec.Sweep, a spec.Axes) (TableNode, error) {
+	t := TableNode{Sweep: sw}
 	kernel := sw.Kernels[0]
-	sizes := sw.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{0} // cg/bt instance default (mm/lu rejected by Validate)
+	grid, err := experiments.KernelGrid(kernel, a.Sizes, a.Modes)
+	if err != nil {
+		return t, err
 	}
-	for _, size := range sizes {
-		modeNames := sw.Modes
-		if len(modeNames) == 0 {
-			modes, err := experiments.KernelModes(kernel, size)
-			if err != nil {
-				return t, err
-			}
-			modeNames = make([]string, len(modes))
-			for i, m := range modes {
-				modeNames[i] = m.String()
-			}
+	for _, p := range grid {
+		key, err := experiments.KernelCellKey(kernel, p.Size, p.Mode)
+		if err != nil {
+			return t, err
 		}
-		for _, modeName := range modeNames {
-			mode, err := kernels.ParseMode(modeName)
-			if err != nil {
-				return t, err
-			}
-			key, err := experiments.KernelCellKey(kernel, size, mode)
-			if err != nil {
-				return t, err
-			}
-			idx := b.add(key, CellNode{
-				Key: key,
-				Spec: service.CellSpec{
-					Type: service.TypeKernel, Kernel: kernel,
-					Mode: mode.String(), Size: size,
-				},
-				Cost: cost(sw, DefaultKernelCost),
-			})
-			t.Cells[fmt.Sprintf("%d|%s", size, mode)] = idx
-		}
+		t.Cells = append(t.Cells, b.add(key, CellNode{
+			Key: key,
+			Spec: service.CellSpec{
+				Type: service.TypeKernel, Kernel: kernel,
+				Mode: p.Mode.String(), Size: p.Size,
+			},
+			Cost: cost(sw, DefaultKernelCost),
+		}))
 	}
 	return t, nil
 }
 
 // compileText compiles whole-harness cells (spec validated the names
 // against the experiments catalogue).
-func compileText(b *builder, sw spec.Sweep) (TableNode, error) {
-	t := TableNode{Sweep: sw, Cells: map[string]int{}}
+func compileText(b *builder, sw spec.Sweep) TableNode {
+	t := TableNode{Sweep: sw}
 	for _, h := range sw.Harnesses {
-		idx := b.add("harness|"+h, CellNode{
+		t.Cells = append(t.Cells, b.add("harness|"+h, CellNode{
 			Spec: service.CellSpec{Type: service.TypeHarness, Harness: h},
 			Cost: cost(sw, DefaultHarnessCost),
-		})
-		t.Cells["text|"+h] = idx
+		}))
 	}
-	return t, nil
+	return t
 }

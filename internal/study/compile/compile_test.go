@@ -32,7 +32,7 @@ func TestCompileFig1Grid(t *testing.T) {
 	}
 	// Every cell must carry the exact key the Figure 1 harness caches
 	// under — that identity is the whole dedupe story.
-	idx := p.Tables[0].Cells["fadd|min|2"]
+	idx := p.Tables[0].Cells[1] // Fig1Grid order: fadd/min solo, fadd/min duo, …
 	want := experiments.StreamCellKey(experiments.StreamMachineConfig(), []streams.Spec{
 		{Kind: streams.FAddS, ILP: streams.MinILP},
 		{Kind: streams.FAddS, ILP: streams.MinILP},
@@ -66,10 +66,13 @@ func TestCompileDedupesAcrossSweeps(t *testing.T) {
 	if len(p.Cells) != 6 {
 		t.Errorf("unique cells = %d, want 6", len(p.Cells))
 	}
-	if p.Tables[0].Cells["fadd|min|2"] != p.Tables[1].Cells["duo|fadd|fadd|min"] {
+	// Grid order: a is fadd solo, fadd duo, fmul solo, fmul duo; b is
+	// the fadd and fmul solos, then fadd+fadd, fadd+fmul, fmul+fadd,
+	// fmul+fmul.
+	if p.Tables[0].Cells[1] != p.Tables[1].Cells[2] {
 		t.Errorf("fig1 duo and fig2 diagonal compiled to different cells")
 	}
-	if p.Tables[0].Cells["fadd|min|1"] != p.Tables[1].Cells["solo|fadd|min"] {
+	if p.Tables[0].Cells[0] != p.Tables[1].Cells[0] {
 		t.Errorf("fig1 solo and fig2 solo compiled to different cells")
 	}
 }
@@ -88,7 +91,7 @@ func TestCompileKernelSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := p.Tables[0].Cells["32|tlp-fine"]
+	idx := p.Tables[0].Cells[1] // KernelGrid order: 32/serial, 32/tlp-fine
 	if p.Cells[idx].Key != want {
 		t.Errorf("kernel key mismatch with the legacy harness key")
 	}

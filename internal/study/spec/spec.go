@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -252,34 +253,84 @@ func (sw Sweep) EffectiveTable() string {
 	return TableText
 }
 
-// EffectiveILP is the sweep's ILP list with the default (all three, in
-// the paper's min→med→max order) applied.
-func (sw Sweep) EffectiveILP() []string {
-	if len(sw.ILP) > 0 {
-		return sw.ILP
-	}
-	return []string{"min", "med", "max"}
+// Axes are a valid sweep's grid axes as typed values, with the defaults
+// applied: no ILP list means all three degrees in the paper's order, no
+// thread list means one and two, no partners means the subject set. An
+// empty Modes means every mode the kernel implements.
+type Axes struct {
+	Streams  []streams.Kind
+	Partners []streams.Kind
+	ILP      []streams.ILP
+	Threads  []int
+	Modes    []kernels.Mode
+	Sizes    []int
 }
 
-// EffectiveThreads is the fig1 thread list with the default applied.
-func (sw Sweep) EffectiveThreads() []int {
-	if len(sw.Threads) > 0 {
-		return sw.Threads
-	}
-	return []int{1, 2}
+// Axes returns the sweep's typed axes, parsed once more from the values
+// Validate has already accepted.
+func (sw Sweep) Axes() Axes {
+	a, _ := sw.axes()
+	return a
 }
 
-// EffectivePartners is the fig2 partner set with the default (the
-// subject set) applied.
-func (sw Sweep) EffectivePartners() []string {
-	if len(sw.Partners) > 0 {
-		return sw.Partners
+// axes parses the sweep's lists, refusing a value repeated within one
+// list (compared parsed, so "min" and "1" are the same degree): a
+// repeated value would only duplicate table rows.
+func (sw Sweep) axes() (a Axes, err error) {
+	if a.Streams, err = parseList("streams", sw.Streams, streams.ParseKind); err != nil {
+		return a, err
 	}
-	return sw.Streams
+	if a.Partners, err = parseList("partners", sw.Partners, streams.ParseKind); err != nil {
+		return a, err
+	}
+	if a.ILP, err = parseList("ilp", sw.ILP, streams.ParseILP); err != nil {
+		return a, err
+	}
+	if a.Threads, err = parseList("threads", sw.Threads, same[int]); err != nil {
+		return a, err
+	}
+	if a.Modes, err = parseList("modes", sw.Modes, kernels.ParseMode); err != nil {
+		return a, err
+	}
+	if a.Sizes, err = parseList("sizes", sw.Sizes, same[int]); err != nil {
+		return a, err
+	}
+	if _, err = parseList("harnesses", sw.Harnesses, same[string]); err != nil {
+		return a, err
+	}
+	if len(a.Partners) == 0 {
+		a.Partners = a.Streams
+	}
+	if len(a.ILP) == 0 {
+		a.ILP = streams.Levels()
+	}
+	if len(a.Threads) == 0 {
+		a.Threads = []int{1, 2}
+	}
+	return a, nil
+}
+
+func same[T any](v T) (T, error) { return v, nil }
+
+// parseList parses every value of one sweep list and refuses repeats.
+func parseList[S any, T comparable](field string, in []S, parse func(S) (T, error)) ([]T, error) {
+	out := make([]T, 0, len(in))
+	for _, v := range in {
+		t, err := parse(v)
+		if err != nil {
+			return nil, err
+		}
+		if slices.Contains(out, t) {
+			return nil, fmt.Errorf("%s: %v repeats an earlier value", field, v)
+		}
+		out = append(out, t)
+	}
+	return out, nil
 }
 
 // Validate checks everything knowable without running: slugs, kind and
-// table names, stream/ILP/kernel/mode spellings, thread counts and the
+// table names, stream/ILP/kernel/mode spellings, values repeated within
+// a list, fields the sweep's table would ignore, thread counts and the
 // deadline duration. Harness names are checked against the experiments
 // catalogue.
 func (s *Spec) Validate() error {
@@ -311,6 +362,10 @@ func (s *Spec) Validate() error {
 }
 
 func (sw Sweep) validate() error {
+	a, err := sw.axes()
+	if err != nil {
+		return err
+	}
 	table := sw.EffectiveTable()
 	switch sw.Kind {
 	case KindStream:
@@ -320,25 +375,16 @@ func (sw Sweep) validate() error {
 		if len(sw.Streams) == 0 {
 			return fmt.Errorf("at least one stream is required")
 		}
-		for _, name := range sw.Streams {
-			if _, err := streams.ParseKind(name); err != nil {
-				return err
-			}
-		}
-		for _, name := range sw.Partners {
-			if _, err := streams.ParseKind(name); err != nil {
-				return err
-			}
-		}
-		for _, name := range sw.ILP {
-			if _, err := streams.ParseILP(name); err != nil {
-				return err
-			}
-		}
 		if table == TableFig1 && len(sw.Partners) > 0 {
 			return fmt.Errorf("partners are a fig2-table field")
 		}
-		for _, n := range sw.EffectiveThreads() {
+		if table == TableFig1 && sw.Title != "" {
+			return fmt.Errorf("fig1 tables take no title (the Figure 1 heading is fixed)")
+		}
+		if table == TableFig2 && len(sw.Threads) > 0 {
+			return fmt.Errorf("threads are a fig1-table field (fig2 cells are solos and duos)")
+		}
+		for _, n := range a.Threads {
 			if n < 1 || n > 2 {
 				return fmt.Errorf("threads must be 1 or 2 (the machine has two contexts), got %d", n)
 			}
@@ -354,16 +400,10 @@ func (sw Sweep) validate() error {
 		if err := experiments.CheckKernel(k); err != nil {
 			return err
 		}
-		for _, name := range sw.Modes {
-			if _, err := kernels.ParseMode(name); err != nil {
-				return err
-			}
-		}
-		sizes := sw.Sizes
-		if len(sizes) == 0 && (k == "mm" || k == "lu") {
+		if len(sw.Sizes) == 0 && (k == "mm" || k == "lu") {
 			return fmt.Errorf("%s sweeps need explicit sizes > 0", k)
 		}
-		for _, n := range sizes {
+		for _, n := range sw.Sizes {
 			if n < 0 {
 				return fmt.Errorf("negative size %d", n)
 			}

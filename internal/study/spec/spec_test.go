@@ -27,7 +27,7 @@ func TestParseJSON(t *testing.T) {
 	if sw.EffectiveTable() != TableFig1 {
 		t.Errorf("default table = %q, want fig1", sw.EffectiveTable())
 	}
-	if got := sw.EffectiveThreads(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := sw.Axes().Threads; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("default threads = %v", got)
 	}
 }
@@ -66,6 +66,15 @@ func TestParseRejects(t *testing.T) {
 		"bad ilp":          `{"name":"x","sweeps":[{"name":"a","kind":"stream","streams":["fadd"],"ilp":["ultra"]}]}`,
 		"bad threads":      `{"name":"x","sweeps":[{"name":"a","kind":"stream","streams":["fadd"],"threads":[3]}]}`,
 		"fig1 partners":    `{"name":"x","sweeps":[{"name":"a","kind":"stream","streams":["fadd"],"partners":["fmul"]}]}`,
+		"fig1 title":       `{"name":"x","sweeps":[{"name":"a","kind":"stream","title":"T","streams":["fadd"]}]}`,
+		"fig2 threads":     `{"name":"x","sweeps":[{"name":"a","kind":"stream","table":"fig2","streams":["fadd"],"threads":[1]}]}`,
+		"repeat stream":    `{"name":"x","sweeps":[{"name":"a","kind":"stream","streams":["fadd","fadd"]}]}`,
+		"repeat partner":   `{"name":"x","sweeps":[{"name":"a","kind":"stream","table":"fig2","streams":["fadd"],"partners":["iadd","iadd"]}]}`,
+		"repeat ilp":       `{"name":"x","sweeps":[{"name":"a","kind":"stream","streams":["fadd"],"ilp":["min","1"]}]}`,
+		"repeat threads":   `{"name":"x","sweeps":[{"name":"a","kind":"stream","streams":["fadd"],"threads":[2,2]}]}`,
+		"repeat size":      `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm"],"sizes":[32,32]}]}`,
+		"repeat mode":      `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["cg"],"modes":["serial","serial"]}]}`,
+		"repeat harness":   `{"name":"x","sweeps":[{"name":"a","kind":"harness","harnesses":["fig1","fig1"]}]}`,
 		"two kernels":      `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm","lu"],"sizes":[32]}]}`,
 		"mm no sizes":      `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm"]}]}`,
 		"unknown harness":  `{"name":"x","sweeps":[{"name":"a","kind":"harness","harnesses":["nope"]}]}`,

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,6 +122,59 @@ func TestFig1SpecParityAndWarmReuse(t *testing.T) {
 	tb, err := os.ReadFile(filepath.Join(outDir, "fig1", "tables", "fig1.txt"))
 	if err != nil || string(tb) != legacy {
 		t.Errorf("persisted table diverged (err %v)", err)
+	}
+
+	// Every grid figure: the harness warms a store through Render, then
+	// the committed spec's sweep of the same name runs over that store.
+	// The bytes must match and nothing may simulate — the study compiled
+	// exactly the harness's cell keys.
+	for _, tc := range []struct {
+		name, file string
+		sizes      []int // fig3/fig4 run small on both sides
+		slow       bool
+	}{
+		{name: "fig1", file: "fig1.study.json"},
+		{name: "fig2a", file: "fig2.study.json"},
+		{name: "fig2b", file: "fig2.study.json"},
+		{name: "fig2c", file: "fig2.study.json"},
+		{name: "fig3", file: "kernels.study.json", sizes: []int{16, 32}},
+		{name: "fig4", file: "kernels.study.json", sizes: []int{16, 32}},
+		{name: "fig5cg", file: "kernels.study.json", slow: true},
+		{name: "fig5bt", file: "kernels.study.json", slow: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.slow && testing.Short() {
+				t.Skip("runs a full NAS kernel figure")
+			}
+			committed := parseFile(t, filepath.Join("..", "..", "studies", tc.file))
+			i := slices.IndexFunc(committed.Sweeps, func(sw spec.Sweep) bool { return sw.Name == tc.name })
+			if i < 0 {
+				t.Fatalf("%s has no sweep %q", tc.file, tc.name)
+			}
+			sw := committed.Sweeps[i]
+			if tc.sizes != nil {
+				sw.Sizes = tc.sizes
+			}
+			st := openStore(t, t.TempDir())
+			want, err := experiments.Render(ctx, experiments.Options{Cache: runner.NewCache().WithTier(st)},
+				tc.name, experiments.Params{Sizes: tc.sizes})
+			if err != nil {
+				t.Fatalf("legacy %s: %v", tc.name, err)
+			}
+			res, err := Run(ctx, &spec.Spec{Name: committed.Name, Sweeps: []spec.Sweep{sw}},
+				RunConfig{Backend: execute.NewLocal(st)})
+			if err != nil {
+				t.Fatalf("study %s: %v", tc.name, err)
+			}
+			if res.Tables[0].Text != want {
+				t.Fatalf("study %s is not byte-identical to the legacy harness:\n--- study ---\n%s--- legacy ---\n%s",
+					tc.name, res.Tables[0].Text, want)
+			}
+			if res.Summary.Simulated != 0 || res.Summary.Warm != res.Summary.UniqueCells {
+				t.Errorf("study %s over the harness's store: simulated %d, warm %d of %d cells; want 0 and all",
+					tc.name, res.Summary.Simulated, res.Summary.Warm, res.Summary.UniqueCells)
+			}
+		})
 	}
 }
 

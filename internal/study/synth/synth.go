@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"smtexplore/internal/experiments"
-	"smtexplore/internal/kernels"
 	"smtexplore/internal/report"
 	"smtexplore/internal/service"
 	"smtexplore/internal/streams"
@@ -48,173 +47,82 @@ func done(results []service.CellResult, idx int) (service.CellResult, bool) {
 func Tables(p *compile.Plan, results []service.CellResult) ([]Table, error) {
 	out := make([]Table, 0, len(p.Tables))
 	for _, t := range p.Tables {
-		var (
-			text string
-			err  error
-		)
+		var text string
 		switch t.Sweep.EffectiveTable() {
 		case spec.TableFig1:
-			text, err = fig1Table(t, results)
+			text = experiments.FormatFig1(fig1Rows(t, results)) + "\n"
 		case spec.TableFig2:
-			text, err = fig2Table(t, results)
+			text = fig2Table(t, results)
 		case spec.TableKernel:
-			text, err = kernelTable(t, results)
+			text = kernelTable(t, results)
 		case spec.TableText:
 			text = textTable(t, results)
 		default:
-			err = fmt.Errorf("unknown table style %q", t.Sweep.EffectiveTable())
-		}
-		if err != nil {
-			return nil, fmt.Errorf("synth: sweep %q: %w", t.Sweep.Name, err)
+			return nil, fmt.Errorf("synth: sweep %q: unknown table style %q", t.Sweep.Name, t.Sweep.EffectiveTable())
 		}
 		out = append(out, Table{Name: t.Sweep.Name, Text: text})
 	}
 	return out, nil
 }
 
-// fig1Rows reconstructs the Figure 1 row list in sweep enumeration
-// order (duo CPI is the two contexts' average, as the harness reports).
-func fig1Rows(t compile.TableNode, results []service.CellResult) ([]experiments.Fig1Row, error) {
-	sw := t.Sweep
-	var rows []experiments.Fig1Row
-	for _, k := range sw.Streams {
-		kind, err := streams.ParseKind(k)
-		if err != nil {
-			return nil, err
-		}
-		for _, ilpName := range sw.EffectiveILP() {
-			ilp, err := streams.ParseILP(ilpName)
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range sw.EffectiveThreads() {
-				row := experiments.Fig1Row{Stream: kind, ILP: ilp, Threads: n}
-				idx := t.Cells[fmt.Sprintf("%s|%s|%d", k, spec.ILPName(ilp), n)]
-				if r, ok := done(results, idx); ok && len(r.CPI) == n && n > 0 {
-					sum := 0.0
-					for _, v := range r.CPI {
-						sum += v
-					}
-					row.CPI = sum / float64(n)
-				}
-				rows = append(rows, row)
-			}
+// cpis reads the table's per-context CPIs, index-aligned with its grid
+// (nil for a cell that did not complete).
+func cpis(t compile.TableNode, results []service.CellResult) [][]float64 {
+	out := make([][]float64, len(t.Cells))
+	for i, idx := range t.Cells {
+		if r, ok := done(results, idx); ok {
+			out[i] = r.CPI
 		}
 	}
-	return rows, nil
+	return out
 }
 
-func fig1Table(t compile.TableNode, results []service.CellResult) (string, error) {
-	rows, err := fig1Rows(t, results)
-	if err != nil {
-		return "", err
-	}
-	return experiments.FormatFig1(rows) + "\n", nil
+// fig1Rows fills the sweep's Fig1Grid rows from its cells' results.
+func fig1Rows(t compile.TableNode, results []service.CellResult) []experiments.Fig1Row {
+	a := t.Sweep.Axes()
+	return experiments.Fig1Rows(experiments.Fig1Grid(a.Streams, a.ILP, a.Threads), cpis(t, results))
 }
 
-// fig2Cells reconstructs the pairwise slowdown cells in the Figure 2
-// harness's enumeration order.
-func fig2Cells(t compile.TableNode, results []service.CellResult) ([]experiments.Fig2Cell, error) {
-	sw := t.Sweep
-	var cells []experiments.Fig2Cell
-	for _, ilpName := range sw.EffectiveILP() {
-		ilp, err := streams.ParseILP(ilpName)
-		if err != nil {
-			return nil, err
-		}
-		short := spec.ILPName(ilp)
-		for _, s := range sw.Streams {
-			subj, err := streams.ParseKind(s)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range sw.EffectivePartners() {
-				part, err := streams.ParseKind(p)
-				if err != nil {
-					return nil, err
-				}
-				c := experiments.Fig2Cell{Subject: subj, Partner: part, ILP: ilp}
-				if r, ok := done(results, t.Cells[fmt.Sprintf("solo|%s|%s", s, short)]); ok && len(r.CPI) > 0 {
-					c.SoloCPI = r.CPI[0]
-				}
-				if r, ok := done(results, t.Cells[fmt.Sprintf("duo|%s|%s|%s", s, p, short)]); ok && len(r.CPI) > 0 {
-					c.CoCPI = r.CPI[0]
-				}
-				if c.SoloCPI > 0 {
-					c.Slowdown = c.CoCPI/c.SoloCPI - 1
-				}
-				cells = append(cells, c)
-			}
-		}
-	}
-	return cells, nil
+// fig2Cells fills the sweep's Fig2Grid matrix from its cells' results.
+func fig2Cells(t compile.TableNode, results []service.CellResult) []experiments.Fig2Cell {
+	a := t.Sweep.Axes()
+	return experiments.NewFig2Grid(a.Streams, a.Partners, a.ILP).Matrix(cpis(t, results))
 }
 
-func fig2Table(t compile.TableNode, results []service.CellResult) (string, error) {
-	cells, err := fig2Cells(t, results)
-	if err != nil {
-		return "", err
-	}
+func fig2Table(t compile.TableNode, results []service.CellResult) string {
 	title := t.Sweep.Title
 	if title == "" {
 		title = "Co-execution matrix — " + t.Sweep.Name
 	}
-	return experiments.FormatFig2(title, cells) + "\n", nil
+	return experiments.FormatFig2(title, fig2Cells(t, results)) + "\n"
 }
 
-// kernelMetrics reconstructs the kernel sweep's metric rows (sizes
-// outer, modes inner). Rows whose cell did not complete are absent —
-// a zero-valued row would corrupt the vs-serial column.
-func kernelMetrics(t compile.TableNode, results []service.CellResult) ([]experiments.KernelMetrics, error) {
-	sw := t.Sweep
-	kernel := sw.Kernels[0]
-	sizes := sw.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{0}
-	}
+// kernelMetrics collects the kernel sweep's metric rows in grid order.
+// Rows whose cell did not complete are absent — a zero-valued row would
+// corrupt the vs-serial column.
+func kernelMetrics(t compile.TableNode, results []service.CellResult) []experiments.KernelMetrics {
 	var ms []experiments.KernelMetrics
-	for _, size := range sizes {
-		modeNames := sw.Modes
-		if len(modeNames) == 0 {
-			modes, err := experiments.KernelModes(kernel, size)
-			if err != nil {
-				return nil, err
-			}
-			modeNames = make([]string, len(modes))
-			for i, m := range modes {
-				modeNames[i] = m.String()
-			}
-		}
-		for _, modeName := range modeNames {
-			mode, err := kernels.ParseMode(modeName)
-			if err != nil {
-				return nil, err
-			}
-			if r, ok := done(results, t.Cells[fmt.Sprintf("%d|%s", size, mode)]); ok && r.Kernel != nil {
-				ms = append(ms, *r.Kernel)
-			}
+	for _, idx := range t.Cells {
+		if r, ok := done(results, idx); ok && r.Kernel != nil {
+			ms = append(ms, *r.Kernel)
 		}
 	}
-	return ms, nil
+	return ms
 }
 
-func kernelTable(t compile.TableNode, results []service.CellResult) (string, error) {
-	ms, err := kernelMetrics(t, results)
-	if err != nil {
-		return "", err
-	}
+func kernelTable(t compile.TableNode, results []service.CellResult) string {
 	title := t.Sweep.Title
 	if title == "" {
 		title = "Kernel sweep — " + t.Sweep.Name
 	}
-	return experiments.FormatKernelFigure(title, ms) + "\n", nil
+	return experiments.FormatKernelFigure(title, kernelMetrics(t, results)) + "\n"
 }
 
 // textTable passes harness output through verbatim, in sweep order.
 func textTable(t compile.TableNode, results []service.CellResult) string {
 	var b strings.Builder
-	for _, h := range t.Sweep.Harnesses {
-		if r, ok := done(results, t.Cells["text|"+h]); ok {
+	for _, idx := range t.Cells {
+		if r, ok := done(results, idx); ok {
 			b.WriteString(r.Text)
 		}
 	}
@@ -225,24 +133,17 @@ func textTable(t compile.TableNode, results []service.CellResult) string {
 // reconstructed, for report.Evaluate. Claims whose inputs this study
 // did not sweep evaluate as skipped — partial studies get partial
 // verdict tables, never false failures.
-func CollectData(p *compile.Plan, results []service.CellResult) (*report.Data, error) {
+func CollectData(p *compile.Plan, results []service.CellResult) *report.Data {
 	d := &report.Data{}
 	for _, t := range p.Tables {
 		switch t.Sweep.EffectiveTable() {
 		case spec.TableFig1:
-			rows, err := fig1Rows(t, results)
-			if err != nil {
-				return nil, err
-			}
-			d.Fig1 = append(d.Fig1, rows...)
+			d.Fig1 = append(d.Fig1, fig1Rows(t, results)...)
 		case spec.TableFig2:
-			cells, err := fig2Cells(t, results)
-			if err != nil {
-				return nil, err
-			}
+			cells := fig2Cells(t, results)
 			// Route by stream class: an all-FP matrix feeds the Figure
 			// 2(a) claims, an all-integer one 2(b).
-			fp, in := classify(t.Sweep)
+			fp, in := classify(t.Sweep.Axes())
 			switch {
 			case fp && !in:
 				d.Fig2a = append(d.Fig2a, cells...)
@@ -250,10 +151,7 @@ func CollectData(p *compile.Plan, results []service.CellResult) (*report.Data, e
 				d.Fig2b = append(d.Fig2b, cells...)
 			}
 		case spec.TableKernel:
-			ms, err := kernelMetrics(t, results)
-			if err != nil {
-				return nil, err
-			}
+			ms := kernelMetrics(t, results)
 			sizes := t.Sweep.Sizes
 			label := ""
 			if len(sizes) > 0 {
@@ -273,22 +171,17 @@ func CollectData(p *compile.Plan, results []service.CellResult) (*report.Data, e
 			}
 		}
 	}
-	return d, nil
+	return d
 }
 
 // classify reports whether every swept stream is FP and whether every
 // one is integer.
-func classify(sw spec.Sweep) (allFP, allInt bool) {
+func classify(a spec.Axes) (allFP, allInt bool) {
 	allFP, allInt = true, true
-	check := func(names []string) {
-		for _, n := range names {
-			isFP := strings.HasPrefix(n, "f")
-			allFP = allFP && isFP
-			allInt = allInt && !isFP
-		}
+	for _, k := range append(append([]streams.Kind{}, a.Streams...), a.Partners...) {
+		allFP = allFP && k.IsFP()
+		allInt = allInt && !k.IsFP()
 	}
-	check(sw.Streams)
-	check(sw.Partners)
 	return allFP, allInt
 }
 
@@ -355,12 +248,8 @@ func Report(in Input) string {
 
 	if s.Claims {
 		fmt.Fprintf(&b, "\n## Deltas vs. the paper\n\n")
-		d, err := CollectData(in.Plan, in.Results)
-		if err != nil {
-			fmt.Fprintf(&b, "claim evaluation unavailable: %v\n", err)
-		} else {
-			fmt.Fprintf(&b, "```text\n%s```\n", ensureNL(report.Format(report.Evaluate(d))))
-		}
+		d := CollectData(in.Plan, in.Results)
+		fmt.Fprintf(&b, "```text\n%s```\n", ensureNL(report.Format(report.Evaluate(d))))
 	}
 
 	fmt.Fprintf(&b, "\n## Limitations and verification\n\n")

@@ -10,7 +10,10 @@
 #   3. warm a store with the direct `kernels -table 1` CLI, then run the
 #      committed Table 1 Markdown spec against that store — the study
 #      must adopt every cell (zero simulations) and reproduce the CLI's
-#      bytes exactly, proving the content keys line up across tools.
+#      bytes exactly, proving the content keys line up across tools;
+#   4. the same for Figure 2: warm a store with `streams -fig 2a|2b|2c`,
+#      then run the committed Figure 2 spec against it — all three
+#      tables byte-identical, zero simulations.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,6 +24,7 @@ trap 'rm -rf "$work"' EXIT
 
 echo "== build"
 go build -o "$bin/smtctl" ./cmd/smtctl
+go build -o "$bin/streams" ./cmd/streams
 
 simulated() {
 	# study.json is the persisted summary; pull the simulated count.
@@ -29,7 +33,7 @@ simulated() {
 
 echo "== cold fig1 study vs direct CLI"
 "$bin/smtctl" study run -f studies/fig1.study.json -dir "$work/out"
-go run ./cmd/streams -fig 1 >"$work/fig1-direct.txt"
+"$bin/streams" -fig 1 >"$work/fig1-direct.txt"
 diff "$work/fig1-direct.txt" "$work/out/fig1/tables/fig1.txt"
 cold="$(simulated "$work/out/fig1")"
 if [ "$cold" != "30" ]; then
@@ -56,8 +60,22 @@ if [ "$t1" != "0" ]; then
 	exit 1
 fi
 
+echo "== fig2 study adopts the streams CLI's store"
+for panel in 2a 2b 2c; do
+	"$bin/streams" -fig "$panel" -store "$work/sstore" >"$work/fig$panel-direct.txt"
+done
+"$bin/smtctl" study run -f studies/fig2.study.json -dir "$work/out" -store "$work/sstore"
+for panel in 2a 2b 2c; do
+	diff "$work/fig$panel-direct.txt" "$work/out/fig2/tables/fig$panel.txt"
+done
+f2="$(simulated "$work/out/fig2")"
+if [ "$f2" != "0" ]; then
+	echo "fig2 study simulated $f2 cells against a warm store, want 0" >&2
+	exit 1
+fi
+
 echo "== status/report read back"
 "$bin/smtctl" study status -dir "$work/out" fig1 | grep -q '"state": "done"'
 "$bin/smtctl" study report -dir "$work/out" fig1 | grep -q '^# Study report'
 
-echo "study smoke OK: fig1 and table1 specs byte-identical to the CLIs, warm re-runs simulated 0 cells"
+echo "study smoke OK: fig1, fig2 and table1 specs byte-identical to the CLIs, warm re-runs simulated 0 cells"
